@@ -3,9 +3,12 @@
 // commit with the tagged undo log, pull the records, re-sync extra
 // mirrors.  Split from perseas.cpp so the transaction hot path stays
 // readable on its own.
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/event_registry.hpp"
 #include "core/perseas.hpp"
@@ -104,15 +107,28 @@ void Perseas::attach_recover(const std::vector<netram::RemoteMemoryServer*>& ser
   // mirror's database back.  In-flight *neighbour* transactions (open but
   // never announced when the primary died) need no rollback: they never
   // touched the mirror's database image, so discarding their entries makes
-  // them vanish atomically.
-  std::vector<std::byte> undo_bytes(m.undo.size);
-  client_.sci_memcpy_read(m.undo, 0, undo_bytes);
+  // them vanish atomically.  The log is fetched in growing prefixes from
+  // offset 0 — at least the announced bytes, then doubling — until the
+  // scan meets its clean end inside them: recovery reads what the log
+  // holds, not the segment's capacity.
+  std::vector<std::byte> undo_bytes;
+  std::uint64_t want =
+      std::min(m.undo.size, std::max(kUndoFirstFetchBytes, hdr.propagating_undo_bytes));
   recovery_ = RecoveryReport{};
   recovery_.ran = true;
   recovery_.announced_txn = hdr.propagating_txn;
   UndoLog::ScanResult scan;
   try {
-    scan = UndoLog::scan(undo_bytes, hdr, sizes);
+    for (;;) {
+      const std::uint64_t have = undo_bytes.size();
+      undo_bytes.resize(want);
+      client_.sci_memcpy_read(m.undo, have, std::span(undo_bytes).subspan(have));
+      if (auto done = UndoLog::scan(undo_bytes, m.undo.size, hdr, sizes)) {
+        scan = std::move(*done);
+        break;
+      }
+      want = std::min(m.undo.size, 2 * want);
+    }
   } catch (const RecoveryError& e) {
     // A corrupt announced prefix is exactly the forensic case the blackbox
     // exists for: put the verdict on record (and auto-dump) before failing.

@@ -157,8 +157,10 @@ void UndoLog::grow(MirrorSet& mirrors, std::uint64_t needed_bytes,
 
 // --- recovery ---------------------------------------------------------------
 
-UndoLog::ScanResult UndoLog::scan(std::span<const std::byte> log, const MetaHeader& hdr,
-                                  std::span<const std::uint64_t> sizes) {
+std::optional<UndoLog::ScanResult> UndoLog::scan(std::span<const std::byte> log,
+                                                 std::uint64_t segment_bytes,
+                                                 const MetaHeader& hdr,
+                                                 std::span<const std::uint64_t> sizes) {
   // When a commit was in flight, the metadata names the exact tail of the
   // log at announcement time: every byte of that prefix must parse and
   // checksum cleanly — the doomed transaction's entries *and* any entries
@@ -166,7 +168,7 @@ UndoLog::ScanResult UndoLog::scan(std::span<const std::byte> log, const MetaHead
   // cannot be rolled back and recovery refuses rather than return a
   // partially updated database.
   const std::uint64_t must_parse = hdr.propagating_txn != 0 ? hdr.propagating_undo_bytes : 0;
-  if (must_parse > log.size()) {
+  if (must_parse > segment_bytes) {
     throw RecoveryError("recover: metadata claims more undo bytes than the segment holds");
   }
   ScanResult result;
@@ -179,13 +181,14 @@ UndoLog::ScanResult UndoLog::scan(std::span<const std::byte> log, const MetaHead
     return result.per_txn.back();
   };
   std::uint64_t pos = 0;
-  while (pos + sizeof(UndoEntryHeader) <= log.size()) {
+  while (pos + sizeof(UndoEntryHeader) <= segment_bytes) {
+    if (pos + sizeof(UndoEntryHeader) > log.size()) return std::nullopt;
     const bool required = pos < must_parse;
     UndoEntryHeader e;
     std::memcpy(&e, log.data() + pos, sizeof e);
     const bool shape_ok = e.magic == UndoEntryHeader::kMagic && e.record < hdr.record_count &&
                           e.size <= sizes[e.record] && e.offset + e.size <= sizes[e.record] &&
-                          pos + undo_entry_bytes(e.size) <= log.size();
+                          pos + undo_entry_bytes(e.size) <= segment_bytes;
     if (!shape_ok) {
       if (required) {
         throw RecoveryError(
@@ -194,6 +197,7 @@ UndoLog::ScanResult UndoLog::scan(std::span<const std::byte> log, const MetaHead
       }
       break;  // clean end of the log (stale bytes / zeroes)
     }
+    if (pos + undo_entry_bytes(e.size) > log.size()) return std::nullopt;
     const std::span<const std::byte> body{log.data() + pos + sizeof e, e.size};
     if (e.checksum != undo_entry_checksum(e, body)) {
       if (required) {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -40,6 +41,11 @@ class TxnObserver;
 /// `required` bytes.  Throws OutOfRemoteMemory instead of wrapping when the
 /// doubling would overflow (a request no mirror could ever satisfy).
 [[nodiscard]] std::uint64_t next_undo_capacity(std::uint64_t current, std::uint64_t required);
+
+/// Bytes of the remote undo segment recovery reads first (more when a
+/// commit announced a longer prefix).  Each later fetch doubles the prefix
+/// until the scan meets the clean end of the log inside it.
+inline constexpr std::uint64_t kUndoFirstFetchBytes = 4096;
 
 /// CRC-32C over an undo entry's payload fields and before-image (the magic
 /// and the checksum slot itself are excluded).  Shared by serialization
@@ -119,6 +125,7 @@ class UndoLog {
     std::uint64_t body_pos = 0;  ///< before-image position inside the log bytes
     std::uint64_t size = 0;
     std::uint64_t txn_id = 0;
+    bool operator==(const RollbackEntry&) const = default;
   };
   /// Per-transaction scan tally, the heart of recovery's structured
   /// self-report: how many of this transaction's entries the scan parsed,
@@ -129,6 +136,7 @@ class UndoLog {
     std::uint64_t scanned = 0;
     std::uint64_t applied = 0;
     std::uint64_t discarded = 0;
+    bool operator==(const TxnScanTally&) const = default;
   };
   struct ScanResult {
     /// Highest transaction id ever logged (keeps ids monotonic across
@@ -143,18 +151,26 @@ class UndoLog {
     std::uint64_t bytes_scanned = 0;
     /// Per-transaction tallies in first-seen order.
     std::vector<TxnScanTally> per_txn;
+    bool operator==(const ScanResult&) const = default;
   };
 
-  /// Scans a mirror's undo-log bytes.  When a commit was in flight
-  /// (hdr.propagating_txn != 0), every entry inside the announced
-  /// [0, hdr.propagating_undo_bytes) prefix must parse and checksum
-  /// cleanly — including entries of *other* (in-flight, never-propagated)
-  /// transactions interleaved at the shared tail — or RecoveryError is
-  /// thrown; only the doomed transaction's entries are collected for
-  /// rollback.  Beyond the prefix the scan stops at the first invalid
-  /// entry (the clean end of the log).
-  static ScanResult scan(std::span<const std::byte> log, const MetaHeader& hdr,
-                         std::span<const std::uint64_t> sizes);
+  /// Scans `log`, the first bytes of a mirror's `segment_bytes`-byte undo
+  /// segment.  When a commit was in flight (hdr.propagating_txn != 0),
+  /// every entry inside the announced [0, hdr.propagating_undo_bytes)
+  /// prefix must parse and checksum cleanly — including entries of *other*
+  /// (in-flight, never-propagated) transactions interleaved at the shared
+  /// tail — or RecoveryError is thrown; only the doomed transaction's
+  /// entries are collected for rollback.  Beyond the prefix the scan stops
+  /// at the first invalid entry (the clean end of the log).
+  ///
+  /// Returns nullopt when the scan runs off the end of `log` before
+  /// reaching the clean end: a header or entry that continues past the
+  /// fetched bytes but fits the segment means "fetch more", never
+  /// "corrupt".  A returned result, and every refusal, is therefore the
+  /// same as a scan of the whole segment.
+  static std::optional<ScanResult> scan(std::span<const std::byte> log,
+                                        std::uint64_t segment_bytes, const MetaHeader& hdr,
+                                        std::span<const std::uint64_t> sizes);
 
   /// Applies before-images to mirror `m`'s database segments, newest-first
   /// by transaction id; within one transaction, overlapping (legacy

@@ -31,6 +31,7 @@ std::optional<std::uint64_t> ArenaAllocator::allocate(std::uint64_t size) {
                                       [](const Live& l, std::uint64_t o) { return l.offset < o; });
     live_.insert(pos, Live{offset, need});
     in_use_ += need;
+    high_water_ = std::max(high_water_, offset + need);
     return offset;
   }
   return std::nullopt;
@@ -69,6 +70,7 @@ void ArenaAllocator::reset() {
   holes_.clear();
   live_.clear();
   in_use_ = 0;
+  high_water_ = 0;
   if (capacity_ > 0) holes_.push_back(Hole{0, capacity_});
 }
 

@@ -39,7 +39,13 @@ class ArenaAllocator {
   /// Largest single allocation that could currently succeed.
   [[nodiscard]] std::uint64_t largest_free_block() const noexcept;
 
-  /// Releases every allocation (node restart).
+  /// End of the highest block handed out since construction or the last
+  /// reset().  free() never lowers it, so every byte any block has covered
+  /// lies below it.
+  [[nodiscard]] std::uint64_t high_water() const noexcept { return high_water_; }
+
+  /// Releases every allocation (node restart) and clears the high-water
+  /// mark.
   void reset();
 
  private:
@@ -61,6 +67,7 @@ class ArenaAllocator {
   std::uint64_t capacity_;
   std::uint64_t min_align_;
   std::uint64_t in_use_ = 0;
+  std::uint64_t high_water_ = 0;
   std::vector<Hole> holes_;  // sorted by offset, never adjacent
   std::vector<Live> live_;   // sorted by offset
 };

@@ -1,6 +1,7 @@
 #include "netram/node.hpp"
 
 #include <algorithm>
+#include <new>
 #include <stdexcept>
 
 namespace perseas::netram {
@@ -8,40 +9,45 @@ namespace perseas::netram {
 Node::Node(NodeId id, std::string name, std::uint64_t arena_bytes, std::uint32_t power_supply)
     : id_(id),
       name_(std::move(name)),
-      arena_(arena_bytes),
+      arena_(static_cast<std::byte*>(std::calloc(arena_bytes, 1))),
+      arena_bytes_(arena_bytes),
       allocator_(arena_bytes),
-      power_supply_(power_supply) {}
+      power_supply_(power_supply) {
+  if (!arena_ && arena_bytes != 0) throw std::bad_alloc();
+}
 
 void Node::crash(sim::FailureKind kind) {
   crashed_ = true;
   ++crash_epoch_;
   last_failure_ = kind;
   // DRAM contents are gone.  0xDB ("dead byte") makes accidental reads of
-  // lost memory visible in tests instead of silently reading zeros.
-  std::fill(arena_.begin(), arena_.end(), std::byte{0xDB});
+  // lost memory visible in tests instead of silently reading zeros.  Only
+  // bytes below the high-water mark were ever handed out; the rest is still
+  // zero.
+  std::fill_n(arena_.get(), allocator_.high_water(), std::byte{0xDB});
 }
 
 void Node::restart() {
   crashed_ = false;
   hang_until_ = 0;
-  std::fill(arena_.begin(), arena_.end(), std::byte{0});
+  std::fill_n(arena_.get(), allocator_.high_water(), std::byte{0});
   allocator_.reset();
 }
 
 std::span<std::byte> Node::mem(std::uint64_t offset, std::uint64_t size) {
-  if (offset + size > arena_.size() || offset + size < offset) {
+  if (offset + size > arena_bytes_ || offset + size < offset) {
     throw std::out_of_range("Node::mem: [" + std::to_string(offset) + ", +" +
                             std::to_string(size) + ") exceeds arena of node " + name_);
   }
-  return {arena_.data() + offset, size};
+  return {arena_.get() + offset, size};
 }
 
 std::span<const std::byte> Node::mem(std::uint64_t offset, std::uint64_t size) const {
-  if (offset + size > arena_.size() || offset + size < offset) {
+  if (offset + size > arena_bytes_ || offset + size < offset) {
     throw std::out_of_range("Node::mem: [" + std::to_string(offset) + ", +" +
                             std::to_string(size) + ") exceeds arena of node " + name_);
   }
-  return {arena_.data() + offset, size};
+  return {arena_.get() + offset, size};
 }
 
 }  // namespace perseas::netram

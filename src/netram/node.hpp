@@ -4,9 +4,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "netram/arena_allocator.hpp"
 #include "sim/failure.hpp"
@@ -34,12 +35,16 @@ class Node {
   [[nodiscard]] std::uint64_t crash_epoch() const noexcept { return crash_epoch_; }
   [[nodiscard]] sim::FailureKind last_failure() const noexcept { return last_failure_; }
 
-  /// Takes the node down.  All DRAM contents are lost: the arena is filled
-  /// with a garbage pattern (not zeros) so that code which wrongly reads
-  /// post-crash memory fails loudly in tests.
+  /// Takes the node down.  All DRAM contents are lost: [0, high water) of
+  /// the arena — every byte handed out since the last restart, freed
+  /// blocks included — is filled with a garbage pattern (not zeros) so that
+  /// code which wrongly reads post-crash memory fails loudly in tests.
+  /// Memory above the allocator's high-water mark was never handed out and
+  /// is always zero, so the cost is the memory used, not the arena size.
   void crash(sim::FailureKind kind);
 
-  /// Brings the node back up with empty, zeroed memory.
+  /// Brings the node back up with empty, zeroed memory: zeroes [0, high
+  /// water) and resets the allocator, which clears the mark.
   void restart();
 
   /// Node is up but temporarily unresponsive until simulated time
@@ -50,18 +55,28 @@ class Node {
 
   /// Bounds-checked view of arena memory.  Caller (Cluster) has already
   /// verified liveness; this throws only on out-of-range access, which is a
-  /// simulation bug rather than a modelled fault.
+  /// simulation bug rather than a modelled fault.  Writers stay inside
+  /// blocks the allocator handed out: crash and restart only wipe memory
+  /// below the high-water mark.
   [[nodiscard]] std::span<std::byte> mem(std::uint64_t offset, std::uint64_t size);
   [[nodiscard]] std::span<const std::byte> mem(std::uint64_t offset, std::uint64_t size) const;
 
   [[nodiscard]] ArenaAllocator& allocator() noexcept { return allocator_; }
   [[nodiscard]] const ArenaAllocator& allocator() const noexcept { return allocator_; }
-  [[nodiscard]] std::uint64_t arena_bytes() const noexcept { return arena_.size(); }
+  [[nodiscard]] std::uint64_t arena_bytes() const noexcept { return arena_bytes_; }
 
  private:
+  struct FreeArena {
+    void operator()(std::byte* p) const noexcept { std::free(p); }
+  };
+
   NodeId id_;
   std::string name_;
-  std::vector<std::byte> arena_;
+  /// Zero-on-demand (calloc) backing store: pages nobody touches are never
+  /// faulted in, so an idle 64 MB arena costs nothing (except under
+  /// sanitizer runtimes, whose allocators touch every byte).
+  std::unique_ptr<std::byte, FreeArena> arena_;
+  std::uint64_t arena_bytes_;
   ArenaAllocator allocator_;
   std::uint32_t power_supply_;
   bool crashed_ = false;

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <initializer_list>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/perseas.hpp"
 
@@ -329,6 +332,132 @@ TEST_F(PerseasRecoveryTest, MirrorCrashLosesDatabaseWhenPrimaryAlsoDies) {
 
 TEST_F(PerseasRecoveryTest, RecoverWithNoServersFails) {
   EXPECT_THROW(Perseas::recover(cluster_, 0, {}), RecoveryError);
+}
+
+// Recovery fetches the remote undo log in growing prefixes instead of the
+// whole segment.  Each case below must recover exactly what a scan of the
+// mirror's whole undo segment (read straight from its memory) yields, while
+// reading less than the database plus the undo capacity over SCI.
+class UndoPrefixFetchTest : public PerseasRecoveryTest {
+ protected:
+  static constexpr std::uint64_t kDbBytes = 16 << 10;
+
+  void make_db() {
+    db_.emplace(cluster_, 0, std::vector<netram::RemoteMemoryServer*>{&server_});
+    (void)db_->persistent_malloc(kDbBytes);
+    db_->init_remote_db();
+  }
+
+  /// Runs one transaction writing `fill` over each (offset, size) range;
+  /// with `doomed`, the primary dies after the first range reaches the
+  /// mirror's database image.
+  void run_txn(std::initializer_list<std::pair<std::uint64_t, std::uint64_t>> ranges,
+               std::byte fill, bool doomed) {
+    if (doomed) {
+      cluster_.failures().arm("perseas.commit.after_range_copy", [this] {
+        cluster_.crash_node(0, sim::FailureKind::kSoftwareCrash);
+        throw sim::NodeCrashed(0, sim::FailureKind::kSoftwareCrash, "armed");
+      });
+    }
+    auto rec = db_->record(0);
+    auto txn = db_->begin_transaction();
+    for (const auto& [offset, size] : ranges) {
+      txn.set_range(rec, offset, size);
+      std::memset(rec.bytes().data() + offset, static_cast<int>(fill), size);
+    }
+    if (doomed) {
+      EXPECT_THROW(txn.commit(), sim::NodeCrashed);
+    } else {
+      txn.commit();
+    }
+  }
+
+  /// UndoLog::scan over the mirror's whole undo segment, read through
+  /// Node::mem: what recovery's prefix fetches must reproduce.
+  UndoLog::ScanResult whole_segment_scan() {
+    const netram::Node& mirror = cluster_.node(server_.host());
+    const auto meta = server_.handle_connect(meta_key()).value();
+    std::memcpy(&hdr_, mirror.mem(meta.offset, sizeof hdr_).data(), sizeof hdr_);
+    std::vector<std::uint64_t> sizes(hdr_.record_count);
+    std::memcpy(sizes.data(), mirror.mem(meta.offset + sizeof hdr_, sizes.size() * 8).data(),
+                sizes.size() * 8);
+    const auto undo = server_.handle_connect(undo_key(hdr_.undo_gen)).value();
+    undo_capacity_ = undo.size;
+    const auto log = mirror.mem(undo.offset, undo.size);
+    return UndoLog::scan(log, log.size(), hdr_, sizes).value();
+  }
+
+  /// Recovers onto the spare and checks the report, the next transaction
+  /// id and the SCI bytes read against `whole`.
+  Perseas& recover_and_compare(const UndoLog::ScanResult& whole) {
+    const std::uint64_t read_before = cluster_.stats().remote_read_bytes;
+    recovered_.emplace(Perseas::RecoverTag{}, cluster_, 2,
+                       std::vector<netram::RemoteMemoryServer*>{&server_});
+    EXPECT_LT(cluster_.stats().remote_read_bytes - read_before, kDbBytes + undo_capacity_);
+    const RecoveryReport r = recovered_->recovery_report();
+    EXPECT_EQ(r.announced_txn, hdr_.propagating_txn);
+    EXPECT_EQ(r.entries_scanned, whole.entries_scanned);
+    EXPECT_EQ(r.bytes_scanned, whole.bytes_scanned);
+    EXPECT_EQ(r.entries_applied, whole.rollbacks.size());
+    EXPECT_EQ(r.entries_applied + r.entries_discarded, whole.entries_scanned);
+    EXPECT_EQ(r.per_txn, whole.per_txn);
+    auto txn = recovered_->begin_transaction();
+    EXPECT_EQ(txn.id(), whole.max_txn + 1);
+    txn.abort();
+    return *recovered_;
+  }
+
+  std::byte byte_at(Perseas& db, std::uint64_t offset) { return db.record(0).bytes()[offset]; }
+
+  MetaHeader hdr_;
+  std::uint64_t undo_capacity_ = 0;
+  std::optional<Perseas> recovered_;
+};
+
+TEST_F(UndoPrefixFetchTest, LivePrefixFollowedByStaleEntriesOfAnEarlierEpoch) {
+  make_db();
+  // Three same-shape entries, then truncation at the next begin: the doomed
+  // transaction's one entry overwrites the first, and the other two stay
+  // behind it as valid entries of the earlier epoch.
+  run_txn({{0, 64}, {1024, 64}, {2048, 64}}, std::byte{0x11}, false);
+  run_txn({{0, 64}}, std::byte{0x22}, true);
+  const auto whole = whole_segment_scan();
+  ASSERT_EQ(whole.entries_scanned, 3u);
+  ASSERT_EQ(whole.rollbacks.size(), 1u);
+  ASSERT_EQ(whole.per_txn.size(), 2u);
+  auto& recovered = recover_and_compare(whole);
+  EXPECT_EQ(byte_at(recovered, 0), std::byte{0x11});
+  EXPECT_EQ(byte_at(recovered, 2048), std::byte{0x11});
+}
+
+TEST_F(UndoPrefixFetchTest, EntryStraddlingTheFirstFetchBoundary) {
+  make_db();
+  // Idle crash: nothing is announced, so the first fetch is
+  // kUndoFirstFetchBytes and the second entry runs past it.
+  run_txn({{0, 64}, {4096, 4000}}, std::byte{0x33}, false);
+  cluster_.crash_node(0, sim::FailureKind::kSoftwareCrash);
+  const auto whole = whole_segment_scan();
+  ASSERT_EQ(whole.entries_scanned, 2u);
+  ASSERT_GT(whole.bytes_scanned, kUndoFirstFetchBytes);
+  ASSERT_LT(undo_entry_bytes(64), kUndoFirstFetchBytes);
+  auto& recovered = recover_and_compare(whole);
+  EXPECT_EQ(byte_at(recovered, 8095), std::byte{0x33});
+}
+
+TEST_F(UndoPrefixFetchTest, AnnouncedPrefixLargerThanTheFirstFetch) {
+  make_db();
+  run_txn({{0, 64}}, std::byte{0x44}, false);
+  // The doomed transaction announces two 3,000-byte before-images, so the
+  // first fetch must already cover more than kUndoFirstFetchBytes.
+  run_txn({{0, 3000}, {8000, 3000}}, std::byte{0x55}, true);
+  const auto whole = whole_segment_scan();
+  ASSERT_GT(hdr_.propagating_undo_bytes, kUndoFirstFetchBytes);
+  ASSERT_EQ(whole.rollbacks.size(), 2u);
+  auto& recovered = recover_and_compare(whole);
+  EXPECT_EQ(byte_at(recovered, 0), std::byte{0x44});
+  EXPECT_EQ(byte_at(recovered, 63), std::byte{0x44});
+  EXPECT_EQ(byte_at(recovered, 64), std::byte{0});
+  EXPECT_EQ(byte_at(recovered, 8000), std::byte{0});
 }
 
 TEST_F(PerseasRecoveryTest, RecoveryCostScalesWithDatabaseSize) {

@@ -214,6 +214,14 @@ class UndoLogScanTest : public ::testing::Test {
     return hdr;
   }
 
+  /// Scans all of `bytes_` as the whole segment; that scan never asks for
+  /// more bytes.
+  UndoLog::ScanResult scan_all(const MetaHeader& hdr) const {
+    auto result = UndoLog::scan(bytes_, bytes_.size(), hdr, sizes_);
+    EXPECT_TRUE(result.has_value());
+    return result.value_or(UndoLog::ScanResult{});
+  }
+
   netram::Cluster cluster_;
   netram::RemoteMemoryClient client_;
   PerseasConfig config_;
@@ -228,7 +236,7 @@ TEST_F(UndoLogScanTest, ScanCollectsOnlyTheAnnouncedTxnsEntries) {
   append(4, 100, std::byte{0xBB});  // open neighbour, interleaved
   append(3, 200, std::byte{0xCC});  // doomed again
 
-  const auto result = UndoLog::scan(bytes_, header(3), sizes_);
+  const auto result = scan_all(header(3));
   EXPECT_EQ(result.max_txn, 4u);
   ASSERT_EQ(result.rollbacks.size(), 2u);
   EXPECT_EQ(result.rollbacks[0].txn_id, 3u);
@@ -240,7 +248,7 @@ TEST_F(UndoLogScanTest, ScanCollectsOnlyTheAnnouncedTxnsEntries) {
 TEST_F(UndoLogScanTest, ScanWithNoCommitInFlightRollsBackNothing) {
   append(1, 0, std::byte{0x11});
   append(2, 64, std::byte{0x22});
-  const auto result = UndoLog::scan(bytes_, header(0), sizes_);
+  const auto result = scan_all(header(0));
   EXPECT_TRUE(result.rollbacks.empty());
   // Ids still surface so the recovered instance keeps them monotonic.
   EXPECT_EQ(result.max_txn, 2u);
@@ -253,7 +261,7 @@ TEST_F(UndoLogScanTest, CorruptEntryInsideAnnouncedPrefixThrows) {
   // Flip one before-image byte of the *neighbour's* entry: inside the
   // announced prefix even a foreign entry must checksum cleanly.
   bytes_[bytes_.size() - 1] ^= std::byte{0xFF};
-  EXPECT_THROW((void)UndoLog::scan(bytes_, hdr, sizes_), RecoveryError);
+  EXPECT_THROW((void)scan_all(hdr), RecoveryError);
 }
 
 TEST_F(UndoLogScanTest, GarbageBeyondAnnouncedPrefixIsTheCleanEnd) {
@@ -261,9 +269,62 @@ TEST_F(UndoLogScanTest, GarbageBeyondAnnouncedPrefixIsTheCleanEnd) {
   const auto hdr = header(7);  // announces only the first entry
   // Garbage past the announced tail: the scan must stop, not throw.
   bytes_.insert(bytes_.end(), 64, std::byte{0xFE});
-  const auto result = UndoLog::scan(bytes_, hdr, sizes_);
+  const auto result = scan_all(hdr);
   ASSERT_EQ(result.rollbacks.size(), 1u);
   EXPECT_EQ(result.rollbacks[0].txn_id, 7u);
+}
+
+// Recovery fetches the log in growing prefixes.  Every prefix either asks
+// for more bytes or yields exactly the whole-segment result, and the scan
+// completes as soon as the header slot after the last valid entry is in:
+// it never needs a byte past the clean end.
+TEST_F(UndoLogScanTest, EveryPrefixAsksForMoreOrMatchesTheWholeSegment) {
+  append(3, 0, std::byte{0xAA}, 24);     // doomed
+  append(4, 100, std::byte{0xBB}, 200);  // open neighbour
+  append(3, 400, std::byte{0xCC});       // doomed again
+  const auto hdr = header(3);
+  append(2, 900, std::byte{0x22}, 64);  // stale entry of an earlier epoch
+  const std::uint64_t clean_end = bytes_.size();
+  bytes_.resize(clean_end + 256, std::byte{0});  // unused capacity
+  const auto whole = scan_all(hdr);
+  ASSERT_EQ(whole.bytes_scanned, clean_end);
+  ASSERT_EQ(whole.rollbacks.size(), 2u);
+  for (std::uint64_t n = 0; n <= bytes_.size(); ++n) {
+    const auto part =
+        UndoLog::scan(std::span<const std::byte>(bytes_).first(n), bytes_.size(), hdr, sizes_);
+    ASSERT_EQ(part.has_value(), n >= clean_end + sizeof(UndoEntryHeader)) << n;
+    if (part) {
+      EXPECT_EQ(*part, whole) << n;
+    }
+  }
+  // A segment that ends right after its last entry completes with it.
+  const auto exact = std::span<const std::byte>(bytes_).first(clean_end);
+  EXPECT_FALSE(UndoLog::scan(exact.first(clean_end - 1), clean_end, hdr, sizes_).has_value());
+  EXPECT_EQ(UndoLog::scan(exact, clean_end, hdr, sizes_), whole);
+}
+
+// A corrupt entry inside the announced prefix is refused by every prefix
+// that holds it; a shorter prefix asks for more rather than mistaking the
+// cut for the clean end or for corruption.
+TEST_F(UndoLogScanTest, CorruptAnnouncedEntryIsRefusedByEveryPrefixThatHoldsIt) {
+  append(5, 0, std::byte{0x55});
+  append(6, 64, std::byte{0x66}, 120);
+  const auto hdr = header(5);
+  bytes_.back() ^= std::byte{0xFF};
+  const std::uint64_t announced = bytes_.size();
+  bytes_.resize(announced + 128, std::byte{0});
+  for (std::uint64_t n = 0; n <= bytes_.size(); ++n) {
+    const auto prefix = std::span<const std::byte>(bytes_).first(n);
+    if (n < announced) {
+      EXPECT_FALSE(UndoLog::scan(prefix, bytes_.size(), hdr, sizes_).has_value()) << n;
+    } else {
+      EXPECT_THROW((void)UndoLog::scan(prefix, bytes_.size(), hdr, sizes_), RecoveryError) << n;
+    }
+  }
+  // An announcement longer than the segment is refused before any fetch.
+  MetaHeader lying = hdr;
+  lying.propagating_undo_bytes = bytes_.size() + 8;
+  EXPECT_THROW((void)UndoLog::scan({}, bytes_.size(), lying, sizes_), RecoveryError);
 }
 
 TEST_F(UndoLogScanTest, ChecksumCoversHeaderFieldsAndImage) {

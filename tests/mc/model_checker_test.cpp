@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "core/failure_points.hpp"
 #include "mc/fixture.hpp"
 #include "mc/model_checker.hpp"
 #include "mc/reference_model.hpp"
@@ -71,25 +72,34 @@ TEST(McDiscovery, FindsCommitPointsOnPerseas) {
 
 // The tentpole guarantee: exhaustively crashing PERSEAS at every discovered
 // (point, hit, kind) — including once inside every recovery point reached
-// (nested) — finds no violation.
-// (One kind and a small scripted workload keep this test fast; CI runs the
-// full debit-credit sweep over every kind via tools/perseas-mc.)
+// (nested) — finds no violation.  This is the canonical sweep CI runs
+// through tools/perseas-mc (debit-credit, --txns=2 --nested=1
+// --exhaustive, every failure kind), and like check-mc-report.py
+// --registry it must fire every registry row marked mc-reachable for the
+// perseas and netram domains.
 TEST(McExplore, PerseasExhaustiveNestedIsClean) {
   McOptions options;
   options.engine = "perseas";
-  options.workload = "scripted";
-  options.script = "0:16 64:16\n128:32\n";
+  options.workload = "debit-credit";
   options.txns = 2;
   options.nested = 1;
-  options.kinds = {sim::FailureKind::kSoftwareCrash};
   const McResult result = ModelChecker(options).run();
   EXPECT_TRUE(result.ok()) << (result.violations.empty()
                                    ? std::string("?")
                                    : result.violations.front().invariant + ": " +
                                          result.violations.front().detail);
+  EXPECT_EQ(result.mode, "exhaustive");
   EXPECT_GT(result.crashed, 0u);
   EXPECT_GT(result.nested_explorations, 0u);
-  EXPECT_TRUE(has_point(result.recovery_points, "perseas.recover.after_rollback"));
+  const auto domains = registry_domains("perseas");
+  for (const core::points::FailurePoint& row : core::points::kFailurePoints) {
+    if (!row.mc || std::find(domains.begin(), domains.end(), row.engine) == domains.end()) {
+      continue;
+    }
+    EXPECT_TRUE(has_point(result.points, row.name) ||
+                has_point(result.recovery_points, row.name))
+        << "registry row " << row.name << " is mc-reachable but never fired";
+  }
 }
 
 // The interleaved workload keeps transaction pairs open concurrently on

@@ -88,6 +88,34 @@ TEST(ArenaAllocator, ResetReleasesEverything) {
   EXPECT_EQ(a.largest_free_block(), 1024u);
 }
 
+// The high-water mark bounds every byte a block has covered since the last
+// reset: Node::crash and Node::restart fill only below it.
+TEST(ArenaAllocator, HighWaterTracksTheHighestBlockEverHandedOut) {
+  ArenaAllocator a(4096, 64);
+  EXPECT_EQ(a.high_water(), 0u);
+  const auto x = a.allocate(100);  // [0, 128)
+  const auto y = a.allocate(64);   // [128, 192)
+  ASSERT_TRUE(x && y);
+  EXPECT_EQ(a.high_water(), 192u);
+  // free() does not lower the mark: the freed bytes may still hold data.
+  ASSERT_TRUE(a.free(*y));
+  EXPECT_EQ(a.high_water(), 192u);
+  ASSERT_TRUE(a.free(*x));
+  EXPECT_EQ(a.high_water(), 192u);
+  // First-fit reuse below the mark leaves it where it is.
+  const auto z = a.allocate(64);
+  ASSERT_TRUE(z);
+  EXPECT_EQ(*z, 0u);
+  EXPECT_EQ(a.high_water(), 192u);
+  // A block past the old mark raises it to that block's end.
+  const auto w = a.allocate(256);
+  ASSERT_TRUE(w);
+  EXPECT_EQ(*w, 64u);
+  EXPECT_EQ(a.high_water(), 320u);
+  a.reset();
+  EXPECT_EQ(a.high_water(), 0u);
+}
+
 TEST(ArenaAllocator, NonPowerOfTwoAlignmentRejected) {
   EXPECT_THROW(ArenaAllocator(1024, 48), std::invalid_argument);
   EXPECT_THROW(ArenaAllocator(1024, 0), std::invalid_argument);

@@ -34,14 +34,47 @@ TEST(Node, MemBoundsChecked) {
 
 TEST(Node, CrashWipesMemoryWithGarbage) {
   Node n(0, "n", 64, 0);
-  auto span = n.mem(0, 8);
+  const auto off = n.allocator().allocate(8);
+  ASSERT_TRUE(off);
+  auto span = n.mem(*off, 8);
   std::memset(span.data(), 0x42, 8);
   n.crash(sim::FailureKind::kSoftwareCrash);
   EXPECT_TRUE(n.crashed());
   EXPECT_EQ(n.crash_epoch(), 1u);
   EXPECT_EQ(n.last_failure(), sim::FailureKind::kSoftwareCrash);
   // Contents are garbage, not the old value and not zero.
-  EXPECT_EQ(n.mem(0, 1)[0], std::byte{0xDB});
+  EXPECT_EQ(n.mem(*off, 1)[0], std::byte{0xDB});
+}
+
+// free() does not lower the high-water mark: a block freed before the
+// crash held data too, and is poisoned with the rest.
+TEST(Node, CrashPoisonsFreedBlocks) {
+  Node n(0, "n", 4096, 0);
+  const auto freed = n.allocator().allocate(256);
+  ASSERT_TRUE(freed);
+  std::memset(n.mem(*freed, 256).data(), 0x42, 256);
+  ASSERT_TRUE(n.allocator().free(*freed));
+  n.crash(sim::FailureKind::kPowerOutage);
+  for (const std::byte b : n.mem(*freed, 256)) ASSERT_EQ(b, std::byte{0xDB});
+}
+
+// Crash and restart touch only what was handed out: the last arena byte,
+// far above every allocation, reads zero after both.  A whole-arena fill
+// would leave 0xDB there after the crash.
+TEST(Node, CrashAndRestartLeaveMemoryAboveTheHighWaterMarkZero) {
+  constexpr std::uint64_t kArena = 1 << 20;
+  Node n(0, "n", kArena, 0);
+  const auto off = n.allocator().allocate(4096);
+  ASSERT_TRUE(off);
+  std::memset(n.mem(*off, 4096).data(), 0x42, 4096);
+  ASSERT_LT(n.allocator().high_water(), kArena);
+  n.crash(sim::FailureKind::kSoftwareCrash);
+  EXPECT_EQ(n.mem(*off + 4095, 1)[0], std::byte{0xDB});
+  EXPECT_EQ(n.mem(kArena - 1, 1)[0], std::byte{0});
+  n.restart();
+  EXPECT_EQ(n.mem(*off, 1)[0], std::byte{0});
+  EXPECT_EQ(n.mem(kArena - 1, 1)[0], std::byte{0});
+  EXPECT_EQ(n.allocator().high_water(), 0u);
 }
 
 TEST(Node, RestartZeroesMemoryAndResetsAllocator) {
