@@ -113,20 +113,9 @@ void print_cost_breakdown() {
               "stores); large ones are SCI-streaming-bandwidth bound.\n");
 }
 
-void bm_perseas_optimized(benchmark::State& state) {
-  workload::LabOptions lo;
-  lo.perseas.optimized_sci_memcpy = state.range(0) != 0;
-  workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
-  workload::SyntheticWorkload w(lab.engine(), 56);
-  for (auto _ : state) state.SetIterationTime(sim::to_seconds(w.run_one()));
-  state.SetLabel(state.range(0) != 0 ? "optimized" : "naive");
-}
-
 }  // namespace
 
-BENCHMARK(bm_perseas_optimized)->UseManualTime()->Arg(0)->Arg(1);
-
-int main(int argc, char** argv) {
+int main() {
   bench::print_header("Ablations: sci_memcpy strategy, mirroring degree, undo policy",
                       "Papathanasiou & Markatos 1997, section 4 + DESIGN.md section 5");
   print_scimemcpy_ablation();
@@ -134,5 +123,4 @@ int main(int argc, char** argv) {
   print_mirror_degree_ablation();
   print_undo_policy_ablation();
   print_cost_breakdown();
-  return bench::run_registered_benchmarks(argc, argv);
 }

@@ -40,7 +40,7 @@ const char* policy_name(core::CcPolicyKind kind) {
 }
 
 struct CcRun {
-  workload::ContentionResult result;
+  workload::PoolResult result;
   std::uint64_t clock_delta_ns = 0;
 };
 
@@ -161,36 +161,11 @@ void print_sweep(bench::Harness& harness, bool& ok) {
               "        snapshots went stale; every cell still reaches full commits.\n");
 }
 
-void bm_cc_sweep(benchmark::State& state) {
-  const core::CcPolicyKind policy = static_cast<core::CcPolicyKind>(state.range(0));
-  workload::ContentionOptions co;
-  co.threads = 4;
-  co.txns_per_thread = 100;
-  co.rows = 256;
-  co.theta = 0.9;
-  workload::LabOptions lo;
-  lo.db_size = co.rows * co.row_bytes;
-  lo.perseas.undo_capacity = 4 << 20;
-  lo.perseas.cc_policy = policy;
-  for (auto _ : state) {
-    workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
-    const auto r = workload::run_contention(lab.engine(), co);
-    state.SetIterationTime(sim::to_seconds(r.makespan_ns));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * co.threads *
-                          static_cast<std::int64_t>(co.txns_per_thread));
-}
-
 }  // namespace
-
-BENCHMARK(bm_cc_sweep)->UseManualTime()->DenseRange(0, 2, 1);
 
 int main(int argc, char** argv) {
   perseas::bench::Harness harness("cc_sweep", argc, argv);
   bool ok = true;
   print_sweep(harness, ok);
-  if (!harness.finish()) ok = false;
-  if (harness.quick()) return ok ? 0 : 1;  // CI smoke runs skip google-benchmark
-  const int rc = perseas::bench::run_registered_benchmarks(argc, argv);
-  return ok ? rc : 1;
+  return harness.finish() && ok ? 0 : 1;
 }

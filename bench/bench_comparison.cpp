@@ -74,24 +74,9 @@ void print_macro(const char* title, const Options& options, std::uint64_t scale)
   }
 }
 
-void bm_short_txn(benchmark::State& state) {
-  const auto kind = static_cast<workload::EngineKind>(state.range(0));
-  workload::EngineLab lab(kind);
-  workload::SyntheticWorkload w(lab.engine(), 4);
-  for (auto _ : state) state.SetIterationTime(sim::to_seconds(w.run_one()));
-  state.SetLabel(std::string(to_string(kind)));
-}
-
 }  // namespace
 
-BENCHMARK(bm_short_txn)
-    ->UseManualTime()
-    ->Arg(static_cast<int>(workload::EngineKind::kPerseas))
-    ->Arg(static_cast<int>(workload::EngineKind::kVista))
-    ->Arg(static_cast<int>(workload::EngineKind::kRvmRio))
-    ->Arg(static_cast<int>(workload::EngineKind::kRemoteWal));
-
-int main(int argc, char** argv) {
+int main() {
   bench::print_header("Engine comparison: PERSEAS vs RVM / Rio-RVM / Vista / remote-WAL",
                       "Papathanasiou & Markatos 1997, section 5.1 narrative");
 
@@ -106,6 +91,4 @@ int main(int argc, char** argv) {
   workload::OrderEntryOptions oe;
   oe.items = 2'000;
   print_macro<workload::OrderEntry>("order-entry (TPC-C style)", oe, 4'000);
-
-  return bench::run_registered_benchmarks(argc, argv);
 }

@@ -30,34 +30,8 @@ void print_figure5() {
               "         128 B aligned = 3.7 us; whole 64-byte stores are lowest.\n");
 }
 
-void bm_sci_store(benchmark::State& state) {
-  const SciLinkModel link(perseas::sim::HardwareProfile::forth_1997().sci);
-  const auto size = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    const auto b = link.store_burst(0, size);
-    benchmark::DoNotOptimize(b.total);
-    state.SetIterationTime(perseas::sim::to_seconds(b.total));
-  }
-  state.counters["latency_us"] = perseas::sim::to_us(link.store_burst(0, size).total);
-}
-
-void bm_sci_store_aligned(benchmark::State& state) {
-  const SciLinkModel link(perseas::sim::HardwareProfile::forth_1997().sci);
-  const auto size = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    const auto b = link.aligned_store_burst(0, size);
-    benchmark::DoNotOptimize(b.total);
-    state.SetIterationTime(perseas::sim::to_seconds(b.total));
-  }
-  state.counters["latency_us"] = perseas::sim::to_us(link.aligned_store_burst(0, size).total);
-}
-
 }  // namespace
 
-BENCHMARK(bm_sci_store)->UseManualTime()->Arg(4)->Arg(16)->Arg(64)->Arg(128)->Arg(200);
-BENCHMARK(bm_sci_store_aligned)->UseManualTime()->Arg(32)->Arg(64)->Arg(128)->Arg(200);
-
-int main(int argc, char** argv) {
+int main() {
   print_figure5();
-  return perseas::bench::run_registered_benchmarks(argc, argv);
 }

@@ -102,25 +102,11 @@ void print_figure6b(bench::Harness& harness) {
               "        fewer SCI bytes and commits in less simulated time.\n");
 }
 
-void bm_perseas_txn(benchmark::State& state) {
-  workload::EngineLab lab(workload::EngineKind::kPerseas, lab_options());
-  workload::SyntheticWorkload w(lab.engine(), static_cast<std::uint64_t>(state.range(0)));
-  for (auto _ : state) {
-    state.SetIterationTime(sim::to_seconds(w.run_one()));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
-}
-
 }  // namespace
-
-BENCHMARK(bm_perseas_txn)->UseManualTime()->RangeMultiplier(8)->Range(4, 1 << 20);
 
 int main(int argc, char** argv) {
   perseas::bench::Harness harness("fig6_txn_overhead", argc, argv);
   print_figure6(harness);
   print_figure6b(harness);
-  const bool ok = harness.finish();
-  if (harness.quick()) return ok ? 0 : 1;  // CI smoke runs skip google-benchmark
-  const int rc = perseas::bench::run_registered_benchmarks(argc, argv);
-  return ok ? rc : 1;
+  return harness.finish() ? 0 : 1;
 }

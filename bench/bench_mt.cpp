@@ -1,10 +1,11 @@
 // Multi-threaded debit-credit: throughput as a function of real OS worker
 // threads (1/2/4/8) driving one shared PERSEAS through the engine slot
-// API — the workload::run_mt_debit_credit frontend.  Unlike
-// bench_concurrent (single-threaded interleaving of open transactions),
-// the workers here truly race: the numbers measure the frontend's
-// per-thread virtual-time discipline (sim::ThreadClock), not just the
-// multi-transaction core.
+// API — the workload::run_mt_debit_credit frontend on the workload worker
+// pool.  The workers truly race, so the numbers measure the pool's
+// per-thread virtual-time discipline (sim::ThreadClock) on top of the
+// multi-transaction core: the disjoint rows keep up to eight transactions
+// open at once with zero conflicts, and the conflicting rows make workers
+// lose first-writer-wins races, abort and retry with a fresh pick.
 //
 // Reported time is SIMULATED time: each worker's charges accumulate on its
 // own virtual timeline and the workload makespan is the slowest worker's
@@ -45,7 +46,7 @@ workload::DebitCreditOptions bank_options() {
 }
 
 struct MtRun {
-  workload::MtResult result;
+  workload::PoolResult result;
   std::uint64_t clock_delta_ns = 0;
   std::uint64_t ledger_ns = 0;
 };
@@ -185,36 +186,12 @@ void print_conflicts(bench::Harness& harness, bool& ok) {
               "        and the balance invariants hold in every cell.\n");
 }
 
-void bm_mt_debit_credit(benchmark::State& state) {
-  const auto o = bank_options();
-  workload::LabOptions lo;
-  lo.db_size = workload::DebitCredit::required_db_size(o);
-  lo.perseas.undo_capacity = 4 << 20;
-  const std::uint32_t threads = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
-    workload::DebitCredit bank(lab.engine(), o);
-    bank.load();
-    workload::MtOptions mo;
-    mo.threads = threads;
-    mo.txns_per_thread = 100;
-    const auto r = workload::run_mt_debit_credit(lab.engine(), bank, mo);
-    state.SetIterationTime(sim::to_seconds(r.makespan_ns));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * threads * 100);
-}
-
 }  // namespace
-
-BENCHMARK(bm_mt_debit_credit)->UseManualTime()->RangeMultiplier(2)->Range(1, 8);
 
 int main(int argc, char** argv) {
   perseas::bench::Harness harness("mt_txns", argc, argv);
   bool ok = true;
   print_scaling(harness, ok);
   print_conflicts(harness, ok);
-  if (!harness.finish()) ok = false;
-  if (harness.quick()) return ok ? 0 : 1;  // CI smoke runs skip google-benchmark
-  const int rc = perseas::bench::run_registered_benchmarks(argc, argv);
-  return ok ? rc : 1;
+  return harness.finish() && ok ? 0 : 1;
 }

@@ -84,20 +84,8 @@ void print_recovery_tables() {
               "local copy per record; dominated by SCI read bandwidth, not disks.\n");
 }
 
-void bm_recovery(benchmark::State& state) {
-  const auto db_size = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    state.SetIterationTime(sim::to_seconds(measure_recovery(db_size, nullptr)));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(db_size));
-}
-
 }  // namespace
 
-BENCHMARK(bm_recovery)->UseManualTime()->Arg(64 << 10)->Arg(1 << 20)->Arg(4 << 20);
-
-int main(int argc, char** argv) {
+int main() {
   print_recovery_tables();
-  return perseas::bench::run_registered_benchmarks(argc, argv);
 }

@@ -50,27 +50,11 @@ void print_nvram_argument() {
               nvram, perseas / nvram);
 }
 
-void bm_fs_mirror(benchmark::State& state) {
-  workload::EngineLab lab(workload::EngineKind::kFsMirror);
-  workload::SyntheticWorkload w(lab.engine(), static_cast<std::uint64_t>(state.range(0)));
-  for (auto _ : state) state.SetIterationTime(sim::to_seconds(w.run_one()));
-}
-
-void bm_rvm_nvram(benchmark::State& state) {
-  workload::EngineLab lab(workload::EngineKind::kRvmNvram);
-  workload::SyntheticWorkload w(lab.engine(), static_cast<std::uint64_t>(state.range(0)));
-  for (auto _ : state) state.SetIterationTime(sim::to_seconds(w.run_one()));
-}
-
 }  // namespace
 
-BENCHMARK(bm_fs_mirror)->UseManualTime()->Arg(4)->Arg(8192);
-BENCHMARK(bm_rvm_nvram)->UseManualTime()->Arg(4);
-
-int main(int argc, char** argv) {
+int main() {
   bench::print_header("Related-work substrates: FS-block mirroring and NVRAM",
                       "Papathanasiou & Markatos 1997, section 2 arguments");
   print_block_size_argument();
   print_nvram_argument();
-  return bench::run_registered_benchmarks(argc, argv);
 }

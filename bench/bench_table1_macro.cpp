@@ -94,38 +94,10 @@ void print_table1(bench::Harness& harness) {
               "thousands; throughput ~constant while the DB fits in memory.\n");
 }
 
-void bm_debit_credit(benchmark::State& state) {
-  workload::DebitCreditOptions o;
-  workload::LabOptions lo;
-  lo.db_size = workload::DebitCredit::required_db_size(o);
-  lo.perseas.undo_capacity = 4 << 20;
-  workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
-  workload::DebitCredit w(lab.engine(), o);
-  w.load();
-  for (auto _ : state) state.SetIterationTime(sim::to_seconds(w.run_one()));
-}
-
-void bm_order_entry(benchmark::State& state) {
-  workload::OrderEntryOptions o;
-  workload::LabOptions lo;
-  lo.db_size = workload::OrderEntry::required_db_size(o);
-  lo.perseas.undo_capacity = 4 << 20;
-  workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
-  workload::OrderEntry w(lab.engine(), o);
-  w.load();
-  for (auto _ : state) state.SetIterationTime(sim::to_seconds(w.run_one()));
-}
-
 }  // namespace
-
-BENCHMARK(bm_debit_credit)->UseManualTime();
-BENCHMARK(bm_order_entry)->UseManualTime();
 
 int main(int argc, char** argv) {
   perseas::bench::Harness harness("table1_macro", argc, argv);
   print_table1(harness);
-  const bool ok = harness.finish();
-  if (harness.quick()) return ok ? 0 : 1;  // CI smoke runs skip google-benchmark
-  const int rc = perseas::bench::run_registered_benchmarks(argc, argv);
-  return ok ? rc : 1;
+  return harness.finish() ? 0 : 1;
 }

@@ -186,19 +186,7 @@ void print_coalesce_ablation(bench::Harness& harness) {
   }
 }
 
-void bm_trend_perseas(benchmark::State& state) {
-  const auto profile =
-      sim::HardwareProfile::forth_1997().advanced_by_years(static_cast<int>(state.range(0)));
-  workload::LabOptions lo;
-  lo.profile = profile;
-  workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
-  workload::SyntheticWorkload w(lab.engine(), 64);
-  for (auto _ : state) state.SetIterationTime(sim::to_seconds(w.run_one()));
-}
-
 }  // namespace
-
-BENCHMARK(bm_trend_perseas)->UseManualTime()->Arg(0)->Arg(4)->Arg(8);
 
 int main(int argc, char** argv) {
   perseas::bench::Harness harness("trend", argc, argv);
@@ -207,8 +195,5 @@ int main(int argc, char** argv) {
   print_fig6_with_ledger(harness, ok);
   print_table1(harness);
   print_coalesce_ablation(harness);
-  if (!harness.finish()) ok = false;
-  if (harness.quick()) return ok ? 0 : 1;  // CI smoke runs skip google-benchmark
-  const int rc = perseas::bench::run_registered_benchmarks(argc, argv);
-  return ok ? rc : 1;
+  return harness.finish() && ok ? 0 : 1;
 }

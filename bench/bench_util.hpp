@@ -1,13 +1,10 @@
 // Shared helpers for the paper-reproduction benchmark binaries.
 //
-// Each binary does two things:
-//   1. prints the rows/series of the paper table or figure it regenerates
-//      (simulated 1997 hardware, so the numbers are reproducible anywhere);
-//   2. registers google-benchmark cases that report the same simulated
-//      latencies via manual timing, for integration with benchmark tooling.
+// Each binary prints the rows/series of the paper table or figure it
+// regenerates (simulated 1997 hardware, so the numbers are reproducible
+// anywhere); the flag-wired ones also emit them as perseas-bench/1 rows
+// through Harness.  Host time has its own harness (perfbench/).
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -21,8 +18,8 @@
 
 namespace perseas::bench {
 
-/// Observability harness shared by the benchmark binaries.  Parses (and
-/// strips, so google-benchmark never sees them) the flags
+/// Observability harness shared by the benchmark binaries.  Parses the
+/// flags
 ///
 ///   --trace=<file>     write a Perfetto/Chrome trace-event JSON file
 ///   --metrics=<file>   write the BENCH_*.json result document
@@ -30,7 +27,9 @@ namespace perseas::bench {
 ///   --quick            benches shrink their workloads (CI smoke runs)
 ///
 /// with PERSEAS_TRACE / PERSEAS_METRICS env vars as fallbacks when the flag
-/// is absent.  The emitted document follows the stable schema
+/// is absent.  Any other argument is an error: the binary exits with
+/// status 1 before running anything.  The emitted document follows the
+/// stable schema
 ///
 ///   { "schema": "perseas-bench/1", "bench": <name>,
 ///     "rows": [...per-bench row objects...], "metrics": <registry dump> }
@@ -39,9 +38,8 @@ namespace perseas::bench {
 /// and call finish() once before exiting.
 class Harness {
  public:
-  Harness(std::string bench_name, int& argc, char** argv)
+  Harness(std::string bench_name, int argc, char** argv)
       : name_(std::move(bench_name)), rows_(obs::Json::array()) {
-    int out = 1;
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
       if (arg.rfind("--trace=", 0) == 0) {
@@ -51,10 +49,10 @@ class Harness {
       } else if (arg == "--quick") {
         quick_ = true;
       } else {
-        argv[out++] = argv[i];
+        std::fprintf(stderr, "%s: unrecognized argument '%s'\n", argv[0], argv[i]);
+        std::exit(1);
       }
     }
-    argc = out;
     if (trace_path_.empty()) {
       if (const char* env = std::getenv("PERSEAS_TRACE"); env != nullptr) trace_path_ = env;
     }
@@ -144,15 +142,6 @@ inline void print_header(const char* title, const char* paper_ref) {
 
 inline void print_row(const char* name, double txns_per_second, double mean_us) {
   std::printf("%-28s %14.0f txns/s %12.2f us/txn\n", name, txns_per_second, mean_us);
-}
-
-/// Runs google-benchmark's main loop after the paper tables have printed.
-inline int run_registered_benchmarks(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
 }
 
 }  // namespace perseas::bench

@@ -213,7 +213,6 @@ void TxnValidator::on_commit(std::uint64_t txn_id, std::span<const core::TxnReco
       }
     }
   }
-  close(txn_id);
 }
 
 void TxnValidator::on_abort(std::uint64_t txn_id, std::span<const core::TxnRecordView> records) {

@@ -34,9 +34,12 @@
 // commit diff tolerates modifications inside own-union-foreign (the
 // conflict table guarantees the two are disjoint); the abort diff
 // tolerates foreign only, keeping the rollback check for the
-// transaction's own ranges exactly as strict as before.  With at most one
-// transaction open the foreign sets stay empty and every check reduces to
-// the historical single-transaction behaviour.
+// transaction's own ranges exactly as strict as before.  A session stays
+// open past its commit diff until the commit completes: the commit can
+// still fail validation, and the caller's abort then rolls the ranges
+// back, which every neighbour that began meanwhile must tolerate.  With
+// at most one transaction open the foreign sets stay empty and every
+// check reduces to the historical single-transaction behaviour.
 //
 // The validator performs plain local computation only: it never touches
 // the cluster, charges no simulated time, and adds no network traffic.
@@ -107,12 +110,13 @@ class TxnValidator final : public core::TxnObserver {
                     std::span<const std::byte> remote) override;
   void on_commit(std::uint64_t txn_id, std::span<const core::TxnRecordView> records) override;
   void on_abort(std::uint64_t txn_id, std::span<const core::TxnRecordView> records) override;
+  void on_commit_complete(std::uint64_t txn_id) override { close(txn_id); }
 
   [[nodiscard]] const core::TxnObserverStats& stats() const noexcept override { return stats_; }
 
   /// True while at least one transaction's session is armed (between its
-  /// on_begin and the matching on_commit / on_abort; a validation error
-  /// disarms every session).
+  /// on_begin and the matching on_commit_complete / on_abort; a validation
+  /// error disarms every session).
   [[nodiscard]] bool tracking() const noexcept { return !sessions_.empty(); }
 
   /// The merged, sorted declared ranges of `record`, unioned across every

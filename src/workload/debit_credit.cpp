@@ -1,11 +1,8 @@
 #include "workload/debit_credit.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <vector>
 
-#include "core/conflict_table.hpp"
 #include "sim/clock.hpp"
 
 namespace perseas::workload {
@@ -138,35 +135,6 @@ sim::SimDuration DebitCredit::run_one() {
   return watch.elapsed();
 }
 
-void DebitCredit::apply_slot(std::uint32_t slot, std::uint64_t branch, std::uint64_t teller,
-                             std::uint64_t account, std::int64_t delta, bool advance_cursor,
-                             std::uint64_t new_cursor) {
-  auto db = engine_->db();
-  const auto adjust_balance = [&](std::uint64_t row_offset) {
-    const std::uint64_t field = row_offset + offsetof(Row, balance);
-    engine_->set_range_slot(slot, row_offset, kRowBytes);
-    auto balance = read_at<std::int64_t>(db, field);
-    balance += delta;
-    write_at(db, field, balance);
-  };
-  adjust_balance(account_offset(account));
-  adjust_balance(teller_offset(teller));
-  adjust_balance(branch_offset(branch));
-
-  const std::uint64_t hist = (history_cursor_ + slot) % options_.history_capacity;
-  engine_->set_range_slot(slot, history_offset(hist), kHistoryBytes);
-  History h{};
-  h.account = account;
-  h.teller = teller;
-  h.branch = branch;
-  h.delta = delta;
-  write_at(db, history_offset(hist), h);
-  if (advance_cursor) {
-    engine_->set_range_slot(slot, cursor_offset(), sizeof(std::uint64_t));
-    write_at(db, cursor_offset(), new_cursor);
-  }
-}
-
 DebitCredit::TxnPlan DebitCredit::plan_partitioned(std::uint32_t part, std::uint32_t parts,
                                                    std::uint64_t seq, sim::Rng& rng,
                                                    bool raid_partition0) const {
@@ -214,92 +182,6 @@ void DebitCredit::apply_plan(std::uint32_t slot, const TxnPlan& plan) const {
   h.branch = plan.branch;
   h.delta = plan.delta;
   write_at(db, history_offset(plan.history_slot), h);
-}
-
-DebitCredit::InterleavedResult DebitCredit::run_interleaved(std::uint64_t rounds,
-                                                            const InterleavedOptions& o) {
-  if (o.ways == 0) throw std::invalid_argument("DebitCredit: ways must be at least 1");
-  if (o.ways > options_.branches) {
-    throw std::invalid_argument("DebitCredit: more ways than branches to partition");
-  }
-  if (engine_->max_open_txns() < o.ways) {
-    throw std::invalid_argument("DebitCredit: engine '" + std::string(engine_->name()) +
-                                "' cannot keep " + std::to_string(o.ways) +
-                                " transactions open");
-  }
-
-  struct Op {
-    std::uint64_t branch = 0;
-    std::uint64_t teller = 0;
-    std::uint64_t account = 0;
-    std::int64_t delta = 0;
-  };
-  // Slot s owns branches s, s+ways, s+2*ways, ...; tellers and accounts
-  // follow their branch, so concurrent write sets stay disjoint.
-  const auto pick_op = [&](std::uint32_t s) {
-    const std::uint64_t owned = (options_.branches - s + o.ways - 1) / o.ways;
-    Op op;
-    op.branch = s + static_cast<std::uint64_t>(o.ways) * rng_.below(owned);
-    op.teller = op.branch * options_.tellers_per_branch + rng_.below(options_.tellers_per_branch);
-    op.account =
-        op.branch * options_.accounts_per_branch + rng_.below(options_.accounts_per_branch);
-    op.delta = rng_.between(-99'999, 99'999);
-    return op;
-  };
-
-  InterleavedResult res;
-  const sim::StopWatch total(engine_->cluster().clock());
-  for (std::uint64_t round = 0; round < rounds; ++round) {
-    const sim::StopWatch watch(engine_->cluster().clock());
-    std::vector<Op> ops(o.ways);
-    for (std::uint32_t s = 0; s < o.ways; ++s) ops[s] = pick_op(s);
-    const bool force_conflict =
-        o.conflict_every != 0 && o.ways >= 2 && (round + 1) % o.conflict_every == 0;
-    if (force_conflict) {
-      // The last slot raids the first slot's account row; the engine's
-      // first-writer-wins check rejects the declaration below.
-      ops[o.ways - 1].account = ops[0].account;
-    }
-
-    for (std::uint32_t s = 0; s < o.ways; ++s) engine_->begin_slot(s);
-
-    std::vector<std::uint32_t> losers;
-    for (std::uint32_t s = 0; s < o.ways; ++s) {
-      const bool owns_cursor = s == o.ways - 1;
-      try {
-        apply_slot(s, ops[s].branch, ops[s].teller, ops[s].account, ops[s].delta, owns_cursor,
-                   history_cursor_ + o.ways);
-      } catch (const core::TxnConflict&) {
-        engine_->abort_slot(s);
-        losers.push_back(s);
-        ++res.conflicts;
-      }
-    }
-    for (std::uint32_t s = 0; s < o.ways; ++s) {
-      if (std::find(losers.begin(), losers.end(), s) != losers.end()) continue;
-      engine_->cluster().charge_cpu(engine_->app_node(), options_.app_compute);
-      engine_->commit_slot(s);
-      total_delta_ += ops[s].delta;
-      ++res.result.transactions;
-    }
-    // Retry every losing slot on freshly picked rows of its own partition,
-    // now that the winners have released their claims.
-    for (const std::uint32_t s : losers) {
-      Op retry = pick_op(s);
-      retry.delta = ops[s].delta;
-      engine_->begin_slot(s);
-      apply_slot(s, retry.branch, retry.teller, retry.account, retry.delta, s == o.ways - 1,
-                 history_cursor_ + o.ways);
-      engine_->cluster().charge_cpu(engine_->app_node(), options_.app_compute);
-      engine_->commit_slot(s);
-      total_delta_ += retry.delta;
-      ++res.result.transactions;
-    }
-    history_cursor_ += o.ways;
-    res.result.latency.record(watch.elapsed());
-  }
-  res.result.elapsed = total.elapsed();
-  return res;
 }
 
 WorkloadResult DebitCredit::run(std::uint64_t n) {

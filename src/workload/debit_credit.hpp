@@ -46,32 +46,6 @@ class DebitCredit {
 
   WorkloadResult run(std::uint64_t n);
 
-  /// Options of the interleaved (multi-transaction) driver.  Each round
-  /// keeps `ways` transactions open at once, each working a disjoint
-  /// partition of the bank: slot s owns the branches congruent to s modulo
-  /// `ways` (tellers and accounts follow their branch) and one history slot
-  /// per round; the last slot alone advances the shared history cursor.
-  /// Disjoint write sets mean the transactions commit concurrently with no
-  /// coordination.  Every `conflict_every`-th round the last slot instead
-  /// deliberately targets the first slot's account row: a conflicting
-  /// engine (PERSEAS first-writer-wins) rejects the declaration, and the
-  /// driver aborts the losing slot and retries it after the winners commit.
-  struct InterleavedOptions {
-    std::uint32_t ways = 2;
-    std::uint64_t conflict_every = 0;  ///< 0 disables deliberate conflicts
-  };
-
-  struct InterleavedResult {
-    WorkloadResult result;        ///< per-round latencies; transactions counts commits
-    std::uint64_t conflicts = 0;  ///< declarations rejected (each aborted + retried)
-  };
-
-  /// Runs `rounds` rounds of `ways`-way interleaved debit-credit.
-  /// Requires ways >= 1, ways <= branches (partitioning by branch) and an
-  /// engine with max_open_txns() >= ways.  check_invariants() holds
-  /// afterwards exactly as for run().
-  InterleavedResult run_interleaved(std::uint64_t rounds, const InterleavedOptions& options);
-
   /// One pre-picked debit-credit transaction, for drivers (the threaded
   /// frontend) that must pick and apply without touching DebitCredit's
   /// mutable state.  history_slot is an absolute slot in the history file;
@@ -139,13 +113,6 @@ class DebitCredit {
     std::byte filler[kHistoryBytes - 32];
   };
   static_assert(sizeof(History) == kHistoryBytes);
-
-  /// One slot's debit-credit update inside an already-begun transaction:
-  /// three balance adjustments, the slot's history entry for this round,
-  /// and (advance_cursor) the shared history-cursor store.
-  void apply_slot(std::uint32_t slot, std::uint64_t branch, std::uint64_t teller,
-                  std::uint64_t account, std::int64_t delta, bool advance_cursor,
-                  std::uint64_t new_cursor);
 
   [[nodiscard]] std::uint64_t branch_offset(std::uint64_t b) const;
   [[nodiscard]] std::uint64_t teller_offset(std::uint64_t t) const;

@@ -1,14 +1,16 @@
 // The multi-threaded transaction frontend: N OS worker threads driving one
-// shared engine through the TxnEngine slot API, debit-credit style.
+// shared engine through the TxnEngine slot API.
 //
 // This is the harness the paper's argument has been waiting for — PERSEAS
 // claims transactions light enough for ordinary applications under real
-// load, and until now every "concurrent" number came from single-threaded
-// interleaving.  Here worker w owns engine slot w and partition w of the
-// bank (branches ≡ w mod threads, a disjoint history window), so the
-// disjoint workload commits with no coordination beyond the engine's own
-// locks; the conflict mode makes workers deliberately raid partition 0 to
-// exercise first-writer-wins from a different thread than the victim.
+// load.  Both threaded workloads below run on one worker pool: worker w
+// owns engine slot w, its own sim::Rng stream (seeded from seed + w) and
+// its own sim::ThreadClock, and commits txns_per_thread transactions.  A
+// workload is only its per-attempt body (begin, do the work, charge app
+// compute, commit); the pool owns everything around it — the start gate,
+// the thread spawn, the retry loop (abort the slot on core::TxnConflict,
+// count the loss by AbortReason, back off, retry), the attempt cap, error
+// propagation and the fold of per-worker results.
 //
 // Time under threads.  Each worker runs behind a sim::ThreadClock: its
 // simulated charges accumulate thread-locally and fold into the shared
@@ -21,10 +23,10 @@
 // disjoint workload's latency distribution is deterministic per worker
 // even though OS scheduling varies run to run.
 //
-// The worker loop follows the classic ready/start/quit benchmark shape:
-// every thread parks on an atomic start gate after setup so measurement
-// begins with all workers live, and a quit flag lets the coordinator stop
-// a run early (error propagation) without waiting out the loop.
+// The pool follows the classic ready/start/quit benchmark shape: every
+// thread parks on an atomic start gate after setup so measurement begins
+// with all workers live, and a quit flag lets the coordinator stop a run
+// early (error propagation) without waiting out the loop.
 #pragma once
 
 #include <cstdint>
@@ -37,43 +39,37 @@
 
 namespace perseas::workload {
 
-struct MtOptions {
-  /// Worker threads; each needs an engine slot (threads <= max_open_txns())
-  /// and a bank partition (threads <= branches).
+/// The knobs every pooled workload shares.
+struct PoolOptions {
+  /// Worker threads; each needs an engine slot (threads <= max_open_txns()).
   std::uint32_t threads = 4;
+  /// Commits each worker must reach (losses are retried).
   std::uint64_t txns_per_thread = 100;
-  /// Every k-th transaction of workers 1..N-1 raids partition 0 instead of
-  /// its own partition (0 disables).  The raid loses to whoever holds the
-  /// contested rows, is aborted, and retried as a fresh disjoint pick, so
-  /// commits always reach threads × txns_per_thread.
-  std::uint64_t conflict_every = 0;
+  /// Worker w draws from sim::Rng(SplitMix64(seed + w)).
   std::uint64_t seed = 42;
-  /// Application-side compute charged per transaction (matches
+  /// Application-side compute charged per transaction attempt (matches
   /// DebitCreditOptions::app_compute).
   sim::SimDuration app_compute = sim::us(2.0);
-  /// Bounded exponential backoff after a lost conflict, charged to the
-  /// worker's own timeline via sim::ThreadClock::wait(): the k-th
-  /// consecutive loss of one transaction waits base << min(k-1, cap_shift)
-  /// before retrying.  0 keeps the historical immediate retry (and the
-  /// recorded bench_mt trend rows) bit-identical.
-  sim::SimDuration backoff_base = 0;
-  std::uint32_t backoff_cap_shift = 6;
 };
 
 /// One worker's tally, aggregated by the coordinator after join.
-struct MtWorkerResult {
-  std::uint32_t worker = 0;       ///< 0-based worker index (slot + partition)
+struct WorkerResult {
+  std::uint32_t worker = 0;              ///< 0-based worker index (= engine slot)
   std::uint64_t commits = 0;
-  std::uint64_t conflicts = 0;    ///< declarations lost + retried
-  std::int64_t delta_sum = 0;     ///< committed deltas (invariant bookkeeping)
-  sim::SimDuration busy_ns = 0;   ///< the worker's own simulated timeline
+  std::uint64_t conflicts = 0;           ///< all TxnConflict losses, each aborted + retried
+  std::uint64_t wounded = 0;             ///< wait-die wound aborts
+  std::uint64_t validation_failed = 0;   ///< OCC backward-validation aborts
+  sim::SimDuration busy_ns = 0;          ///< the worker's own simulated timeline
   std::vector<sim::SimDuration> latencies;  ///< per-commit, in issue order
 };
 
-struct MtResult {
-  std::vector<MtWorkerResult> workers;
+/// A whole pooled run: the per-worker rows and their fold, in worker order.
+struct PoolResult {
+  std::vector<WorkerResult> workers;
   std::uint64_t commits = 0;
   std::uint64_t conflicts = 0;
+  std::uint64_t wounded = 0;
+  std::uint64_t validation_failed = 0;
   /// The parallel timeline: max over workers of busy_ns.  Throughput =
   /// commits / makespan.
   sim::SimDuration makespan_ns = 0;
@@ -90,13 +86,34 @@ struct MtResult {
   }
 };
 
-/// Runs options.threads real threads, each committing
-/// options.txns_per_thread debit-credit transactions against `engine`
-/// through its slot API.  `bank` must be load()ed; on return its committed
-/// deltas are folded in, so bank.check_invariants() holds.  Worker
-/// exceptions are re-thrown on the calling thread (after all threads have
-/// been joined).
-MtResult run_mt_debit_credit(TxnEngine& engine, DebitCredit& bank, const MtOptions& options);
+// Names the perfbench harness still uses; to be retired with its next change.
+using MtWorkerResult = WorkerResult;
+using ContentionWorkerResult = WorkerResult;
+using MtResult = PoolResult;
+using ContentionResult = PoolResult;
+
+// --- the debit-credit workload ---------------------------------------------
+// Worker w owns partition w of the bank (branches ≡ w mod threads, a
+// disjoint history window), so the disjoint workload commits with no
+// coordination beyond the engine's own locks; the conflict mode makes
+// workers deliberately raid partition 0 to exercise first-writer-wins from
+// a different thread than the victim.  A lost attempt retries at once with
+// a fresh pick from the worker's own partition.
+
+struct MtOptions : PoolOptions {
+  /// Every k-th transaction of workers 1..N-1 raids partition 0 instead of
+  /// its own partition (0 disables).  The raid loses to whoever holds the
+  /// contested rows, is aborted, and retried as a fresh disjoint pick, so
+  /// commits always reach threads × txns_per_thread.
+  std::uint64_t conflict_every = 0;
+};
+
+/// Runs the debit-credit workload on options.threads workers (each also
+/// needs a bank partition: threads <= branches).  `bank` must be load()ed;
+/// on return its committed deltas are folded in, so bank.check_invariants()
+/// holds.  Worker exceptions are re-thrown on the calling thread (after all
+/// threads have been joined).
+PoolResult run_mt_debit_credit(TxnEngine& engine, DebitCredit& bank, const MtOptions& options);
 
 // --- the contention workload -----------------------------------------------
 // Skewed read/write transactions over a flat row space, built to make the
@@ -106,12 +123,12 @@ MtResult run_mt_debit_credit(TxnEngine& engine, DebitCredit& bank, const MtOptio
 // transactions touch long_ops rows instead of short_ops — the classic
 // short-vs-long mix where wait-die wounds the young and validation punishes
 // the long reader.  Row claims are whole rows, so conflicts are exactly
-// same-row collisions.
+// same-row collisions.  A lost attempt backs off on the worker's simulated
+// timeline (1 µs, doubling per consecutive loss up to 64 µs) — under a hot
+// spot an immediate retry re-collides with the claim it just lost to — and
+// retries with fresh row picks.
 
-struct ContentionOptions {
-  std::uint32_t threads = 4;
-  /// Commits each worker must reach (losses are retried with fresh picks).
-  std::uint64_t txns_per_thread = 100;
+struct ContentionOptions : PoolOptions {
   /// Row space; rows * row_bytes must fit the engine's database.
   std::uint64_t rows = 1024;
   std::uint64_t row_bytes = 64;
@@ -123,51 +140,11 @@ struct ContentionOptions {
   std::uint32_t short_ops = 4;
   std::uint32_t long_ops = 32;
   double long_fraction = 0.1;
-  std::uint64_t seed = 42;
-  /// Application-side compute charged per transaction attempt.
-  sim::SimDuration app_compute = sim::us(2.0);
-  /// Same bounded backoff as MtOptions, but on by default: under a hot
-  /// spot an immediate retry re-collides with the claim it just lost to.
-  sim::SimDuration backoff_base = sim::us(1.0);
-  std::uint32_t backoff_cap_shift = 6;
-  /// Hard cap on attempts per transaction — a livelocked policy surfaces
-  /// as a thrown error, not a hung test.
-  std::uint64_t max_attempts = 100000;
 };
 
-/// One worker's tally, with the conflict losses split by abort reason.
-struct ContentionWorkerResult {
-  std::uint32_t worker = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t conflicts = 0;            ///< all TxnConflict losses
-  std::uint64_t wounded = 0;              ///< wait-die wound aborts
-  std::uint64_t validation_failed = 0;    ///< OCC backward-validation aborts
-  sim::SimDuration busy_ns = 0;
-  std::vector<sim::SimDuration> latencies;
-};
-
-struct ContentionResult {
-  std::vector<ContentionWorkerResult> workers;
-  std::uint64_t commits = 0;
-  std::uint64_t conflicts = 0;
-  std::uint64_t wounded = 0;
-  std::uint64_t validation_failed = 0;
-  sim::SimDuration makespan_ns = 0;
-  sim::SimDuration total_work_ns = 0;
-  sim::LatencyRecorder latency;
-
-  [[nodiscard]] double txns_per_second() const noexcept {
-    return makespan_ns > 0 ? static_cast<double>(commits) * 1e9 /
-                                 static_cast<double>(makespan_ns)
-                           : 0.0;
-  }
-};
-
-/// Runs options.threads real threads of the contention workload against
-/// `engine` through its slot API (same threading regime as
-/// run_mt_debit_credit).  Every worker reaches txns_per_thread commits;
-/// conflicted attempts abort the slot, back off on the worker's simulated
-/// timeline, and retry with fresh row picks.
-ContentionResult run_contention(TxnEngine& engine, const ContentionOptions& options);
+/// Runs the contention workload on options.threads workers.  Every worker
+/// reaches txns_per_thread commits, or the run throws std::runtime_error
+/// once one transaction has lost 100,000 attempts (a livelocked policy).
+PoolResult run_contention(TxnEngine& engine, const ContentionOptions& options);
 
 }  // namespace perseas::workload

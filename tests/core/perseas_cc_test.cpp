@@ -145,6 +145,30 @@ TEST_F(PerseasCcTest, ValidateAbortsAReaderWhoseSnapshotWentStale) {
   EXPECT_EQ(db.stats().txns_committed, 2u);
 }
 
+TEST_F(PerseasCcTest, ValidationFailureLeavesTheWriteSetValidatorTracking) {
+  PerseasConfig config = with_policy(CcPolicyKind::kValidateAtCommit);
+  config.validate_writes = true;
+  auto& db = make_db(config);
+  auto a = db.begin_transaction();
+  a.read_range(rec_, 0, 64);
+  a.set_range(rec_, 128, 16);
+  std::memset(rec_.bytes().data() + 128, 0x55, 16);
+
+  auto b = db.begin_transaction();
+  b.set_range(rec_, 0, 64);
+  std::memset(rec_.bytes().data(), 0x44, 64);
+  b.commit();
+  EXPECT_THROW(a.commit(), TxnConflict);
+
+  // c snapshots a's write, which a's rollback then undoes: the validator
+  // must still count [128, 144) as a's range, or c's commit reports it as
+  // c's own uncovered write.
+  auto c = db.begin_transaction();
+  a.abort();
+  EXPECT_NO_THROW(c.commit());
+  EXPECT_EQ(db.txn_observer()->stats().aborts_checked, 1u);
+}
+
 TEST_F(PerseasCcTest, ValidateAbortsAStaleReadOnlyTransactionToo) {
   auto& db = make_db(with_policy(CcPolicyKind::kValidateAtCommit));
   auto a = db.begin_transaction();

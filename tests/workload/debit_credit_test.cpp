@@ -98,58 +98,6 @@ TEST(DebitCredit, ThroughputMatchesPaperBallparkOnPerseas) {
   EXPECT_LT(result.txns_per_second(), 100'000.0);
 }
 
-TEST(DebitCredit, InterleavedDisjointPartitionsCommitWithoutConflicts) {
-  auto o = small_options();  // 2 branches: enough for 2-way partitioning
-  auto lab = make_lab(EngineKind::kPerseas, o);
-  DebitCredit w(lab.engine(), o);
-  w.load();
-  const auto r = w.run_interleaved(200, {/*ways=*/2, /*conflict_every=*/0});
-  EXPECT_EQ(r.conflicts, 0u);
-  EXPECT_EQ(r.result.transactions, 400u);  // two commits per round
-  EXPECT_NO_THROW(w.check_invariants());
-  auto& perseas_engine = dynamic_cast<PerseasEngine&>(lab.engine());
-  EXPECT_EQ(perseas_engine.perseas().stats().max_open_txns, 2u);
-  EXPECT_EQ(perseas_engine.perseas().stats().txns_conflicted, 0u);
-}
-
-TEST(DebitCredit, InterleavedForcedConflictsAbortAndRetry) {
-  auto o = small_options();
-  auto lab = make_lab(EngineKind::kPerseas, o);
-  DebitCredit w(lab.engine(), o);
-  w.load();
-  const auto r = w.run_interleaved(100, {/*ways=*/2, /*conflict_every=*/4});
-  EXPECT_EQ(r.conflicts, 25u);  // every 4th round collides once
-  // Every loser retried successfully: commits are unaffected.
-  EXPECT_EQ(r.result.transactions, 200u);
-  EXPECT_NO_THROW(w.check_invariants());
-  auto& perseas_engine = dynamic_cast<PerseasEngine&>(lab.engine());
-  EXPECT_EQ(perseas_engine.perseas().stats().txns_conflicted, 25u);
-  EXPECT_EQ(perseas_engine.perseas().stats().txns_aborted, 25u);
-}
-
-TEST(DebitCredit, InterleavedRejectsEnginesWithoutEnoughSlots) {
-  auto o = small_options();
-  auto lab = make_lab(EngineKind::kVista, o);  // classic single-slot engine
-  DebitCredit w(lab.engine(), o);
-  w.load();
-  EXPECT_THROW((void)w.run_interleaved(1, {/*ways=*/2, 0}), std::invalid_argument);
-  // And more ways than branches cannot partition the bank.
-  auto lab2 = make_lab(EngineKind::kPerseas, o);
-  DebitCredit w2(lab2.engine(), o);
-  w2.load();
-  EXPECT_THROW((void)w2.run_interleaved(1, {/*ways=*/4, 0}), std::invalid_argument);
-}
-
-TEST(DebitCredit, InterleavedOneWayMatchesSerialSemantics) {
-  auto lab = make_lab(EngineKind::kPerseas, small_options());
-  DebitCredit w(lab.engine(), small_options());
-  w.load();
-  const auto r = w.run_interleaved(100, {/*ways=*/1, 0});
-  EXPECT_EQ(r.result.transactions, 100u);
-  EXPECT_EQ(r.conflicts, 0u);
-  EXPECT_NO_THROW(w.check_invariants());
-}
-
 TEST(DebitCredit, DeterministicForFixedSeed) {
   auto lab1 = make_lab(EngineKind::kPerseas, small_options());
   auto lab2 = make_lab(EngineKind::kPerseas, small_options());
