@@ -58,6 +58,7 @@ CcRun run_cell(bench::Harness& harness, core::CcPolicyKind policy, double theta,
   lo.db_size = co.rows * co.row_bytes;
   lo.perseas.undo_capacity = 4 << 20;
   lo.perseas.cc_policy = policy;
+  lo.trace = harness.trace();
   lo.trace_label = std::string("cc:") + policy_name(policy);
   workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
 

@@ -26,7 +26,6 @@ void print_figure6(bench::Harness& harness) {
   for (std::uint64_t size = 4; size <= max_size; size *= 4) {
     workload::LabOptions lo = lab_options();
     lo.trace = harness.trace();
-    lo.metrics = harness.metrics();
     lo.trace_label = "perseas txn=" + std::to_string(size) + "B";
     workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
     workload::SyntheticWorkload w(lab.engine(), size);

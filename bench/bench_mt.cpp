@@ -24,6 +24,7 @@
 // single-threaded cost model (and the committed fig6/table1/BENCH_trend
 // numbers are untouched — they never route through this driver).
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.hpp"
 #include "obs/cost_ledger.hpp"
@@ -51,15 +52,17 @@ struct MtRun {
   std::uint64_t ledger_ns = 0;
 };
 
-// One measured run on a fresh lab.  No trace recorder is attached: the MT
-// lab is the one place engine spans would be emitted from racing threads,
-// and the bench's claims are all in the ledger/clock totals anyway.
+// One measured run on a fresh lab.  With --trace every worker records its
+// scopes on its own lane of the run's track.
 MtRun run_threads(bench::Harness& harness, std::uint32_t threads, std::uint64_t txns_per_thread,
                   std::uint64_t conflict_every) {
   const auto o = bank_options();
   workload::LabOptions lo;
   lo.db_size = workload::DebitCredit::required_db_size(o);
   lo.perseas.undo_capacity = 4 << 20;
+  lo.trace = harness.trace();
+  lo.trace_label = "mt threads=" + std::to_string(threads) +
+                   (conflict_every != 0 ? " conflict" : "");
   workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
   workload::DebitCredit bank(lab.engine(), o);
   bank.load();

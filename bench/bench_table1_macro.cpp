@@ -21,7 +21,6 @@ workload::WorkloadResult run_debit_credit(bench::Harness& harness,
   lo.db_size = workload::DebitCredit::required_db_size(o);
   lo.perseas.undo_capacity = 4 << 20;
   lo.trace = harness.trace();
-  lo.metrics = harness.metrics();
   lo.trace_label = "perseas debit-credit";
   workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
   workload::DebitCredit w(lab.engine(), o);
@@ -39,7 +38,6 @@ workload::WorkloadResult run_order_entry(bench::Harness& harness,
   lo.db_size = workload::OrderEntry::required_db_size(o);
   lo.perseas.undo_capacity = 4 << 20;
   lo.trace = harness.trace();
-  lo.metrics = harness.metrics();
   lo.trace_label = "perseas order-entry";
   workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
   workload::OrderEntry w(lab.engine(), o);

@@ -13,6 +13,7 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/output.hpp"
 #include "obs/trace.hpp"
 #include "sim/sim_time.hpp"
 
@@ -34,8 +35,9 @@ namespace perseas::bench {
 ///   { "schema": "perseas-bench/1", "bench": <name>,
 ///     "rows": [...per-bench row objects...], "metrics": <registry dump> }
 ///
-/// Benches pass trace()/metrics() into LabOptions, add_row() per table row,
-/// and call finish() once before exiting.
+/// Benches pass trace() into LabOptions (or Cluster::set_trace), export
+/// their components' metrics into metrics(), add_row() per table row, and
+/// call finish() once before exiting.
 class Harness {
  public:
   Harness(std::string bench_name, int argc, char** argv)
@@ -59,13 +61,13 @@ class Harness {
     if (metrics_path_.empty()) {
       if (const char* env = std::getenv("PERSEAS_METRICS"); env != nullptr) metrics_path_ = env;
     }
-    if (!trace_path_.empty()) trace_.emplace();
+    if (!trace_path_.empty()) recorder_.emplace();
     if (!metrics_path_.empty()) metrics_.emplace();
   }
 
   [[nodiscard]] bool quick() const noexcept { return quick_; }
   /// Sinks to hand to LabOptions; nullptr when the corresponding output is off.
-  [[nodiscard]] obs::TraceRecorder* trace() noexcept { return trace_ ? &*trace_ : nullptr; }
+  [[nodiscard]] obs::TraceRecorder* trace() noexcept { return recorder_ ? &*recorder_ : nullptr; }
   [[nodiscard]] obs::MetricsRegistry* metrics() noexcept {
     return metrics_ ? &*metrics_ : nullptr;
   }
@@ -88,14 +90,15 @@ class Harness {
   /// not be written (the bench should exit nonzero so CI notices).
   bool finish() {
     bool ok = true;
-    if (trace_) {
+    const auto write = [&ok](const std::string& path, const std::string& text) {
       try {
-        trace_->save(trace_path_);
+        obs::write_file("bench", path, text);
       } catch (const std::exception& e) {
-        std::fprintf(stderr, "bench: %s\n", e.what());
+        std::fprintf(stderr, "%s\n", e.what());
         ok = false;
       }
-    }
+    };
+    if (recorder_) write(trace_path_, recorder_->to_json());
     if (metrics_) {
       obs::Json doc = obs::Json::object();
       doc.set("schema", "perseas-bench/1");
@@ -105,17 +108,8 @@ class Harness {
       doc.set("metrics", metrics_->to_json());
       rows_ = obs::Json::array();
       has_ledger_ = false;
-      if (metrics_path_ == "-") {
-        std::printf("BENCH_JSON %s\n", doc.dump().c_str());
-      } else if (FILE* f = std::fopen(metrics_path_.c_str(), "w"); f != nullptr) {
-        const std::string text = doc.dump(2);
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-      } else {
-        std::fprintf(stderr, "bench: cannot write metrics to %s\n", metrics_path_.c_str());
-        ok = false;
-      }
+      write(metrics_path_,
+            metrics_path_ == "-" ? "BENCH_JSON " + doc.dump() + "\n" : doc.dump(2) + "\n");
     }
     return ok;
   }
@@ -125,7 +119,7 @@ class Harness {
   std::string trace_path_;
   std::string metrics_path_;
   bool quick_ = false;
-  std::optional<obs::TraceRecorder> trace_;
+  std::optional<obs::TraceRecorder> recorder_;
   std::optional<obs::MetricsRegistry> metrics_;
   obs::Json rows_;
   obs::Json ledger_;

@@ -16,9 +16,6 @@ namespace perseas::core {
 
 namespace {
 
-/// Size of the 16-byte propagation flag {txn_id, undo_bytes}.
-constexpr std::uint64_t kFlagBytes = 2 * sizeof(std::uint64_t);
-
 /// PERSEAS_COALESCE=0 forces coalescing off, any other value forces it on.
 /// Unlike the observability variables this one overrides the config — a
 /// caller-set `true` is indistinguishable from the default, so the CI
@@ -59,7 +56,7 @@ bool seeded_bug_skip_flag_clear() {
 
 }  // namespace
 
-Perseas::~Perseas() { flush_owned_observability(); }
+Perseas::~Perseas() { dump_env_metrics(); }
 
 std::vector<TxnRecordView> Perseas::observer_views() {
   std::vector<TxnRecordView> views;
@@ -210,7 +207,7 @@ Transaction Perseas::begin_transaction() {
   if (!all_mirrored) {
     throw UsageError("begin_transaction: call init_remote_db() after persistent_malloc");
   }
-  const obs::ScopedCost cost_scope(cluster_->ledger(), txn_counter_ + 1, "begin", "core",
+  const obs::ScopedCost cost_scope(cluster_->sinks(), txn_counter_ + 1, "begin", "core",
                                    "cpu");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_begin);
   // The shared log's tail can only rewind when no pushed entry is live;
@@ -300,7 +297,7 @@ void Perseas::txn_abort(std::uint64_t txn_id) {
 void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
                                  std::uint64_t offset, std::uint64_t size) {
   sync::LockGuard lock(mu_);
-  const obs::ScopedCost cost_scope(cluster_->ledger(), txn_id, "set_range", "core", "cpu");
+  const obs::ScopedCost cost_scope(cluster_->sinks(), txn_id, "set_range", "core", "cpu");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_set_range);
   TxnContext* ctx = find_context(txn_id);
   if (ctx == nullptr) throw UsageError("set_range: transaction is not active");
@@ -320,7 +317,7 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
       // Wait-die's timestamp wait: the older requester spends simulated
       // time parked before retrying.  Charged under its own scope so the
       // ledger attributes the idleness to waiting, not to set_range work.
-      const obs::ScopedCost wait_scope(cluster_->ledger(), txn_id, "cc_wait", "core", "cpu");
+      const obs::ScopedCost wait_scope(cluster_->sinks(), txn_id, "cc_wait", "core", "cpu");
       const sim::StopWatch wait_watch(cluster_->clock());
       cluster_->clock().wait(rejection->wait);
       ++stats_.cc_waits;
@@ -351,59 +348,48 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
     ++stats_.ranges_coalesced;
   }
 
-  const obs::ScopedCost local_scope(cluster_->ledger(), txn_id, "local_undo", "core",
-                                    "local");
-  const sim::StopWatch local_watch(cluster_->clock());
   std::vector<UndoImage> entries;
-  entries.reserve(fresh.size());
-  std::uint64_t fresh_bytes = 0;
-  for (const auto& r : fresh) {  // figure 3, step 1
-    UndoImage u;
-    u.record = record;
-    u.offset = r.offset;
-    const auto src = record_bytes_locked(record).subspan(r.offset, r.size);
-    u.before.assign(src.begin(), src.end());
-    fresh_bytes += r.size;
-    entries.push_back(std::move(u));
-  }
-  if (fresh_bytes > 0) cluster_->charge_local_memcpy(local_, fresh_bytes);
-  if (config_.coalesce_ranges && fresh_bytes < size) {
-    cluster_->flight().record(EventKind::kCoalesce, txn_id, record, size, fresh_bytes);
-  }
-  stats_.time_local_undo += local_watch.elapsed();
-  ctx->times().local_undo += local_watch.elapsed();
-  stats_.bytes_undo_local += fresh_bytes;
-  stats_.bytes_dedup_undo += size - fresh_bytes;
-  if (observer_ && fresh_bytes > 0) {
-    observer_->on_phase(txn_id, TxnPhase::kLocalUndo, local_watch.start(),
-                        local_watch.elapsed(), fresh_bytes, 0);
+  {
+    const obs::ScopedCost local_scope(cluster_->sinks(), txn_id, "local_undo", "core",
+                                      "local");
+    const sim::StopWatch local_watch(cluster_->clock());
+    entries.reserve(fresh.size());
+    std::uint64_t fresh_bytes = 0;
+    for (const auto& r : fresh) {  // figure 3, step 1
+      UndoImage u;
+      u.record = record;
+      u.offset = r.offset;
+      const auto src = record_bytes_locked(record).subspan(r.offset, r.size);
+      u.before.assign(src.begin(), src.end());
+      fresh_bytes += r.size;
+      entries.push_back(std::move(u));
+    }
+    if (fresh_bytes > 0) cluster_->charge_local_memcpy(local_, fresh_bytes);
+    if (config_.coalesce_ranges && fresh_bytes < size) {
+      cluster_->flight().record(EventKind::kCoalesce, txn_id, record, size, fresh_bytes);
+    }
+    stats_.time_local_undo += local_watch.elapsed();
+    stats_.bytes_undo_local += fresh_bytes;
+    stats_.bytes_dedup_undo += size - fresh_bytes;
   }
   // Notified even when fully covered (nothing copied): crash tests rely on
   // every set_range reaching the same protocol points.
   cluster_->failures().notify(points::kAfterLocalUndo);
 
   if (config_.eager_remote_undo && !entries.empty()) {
-    const obs::ScopedCost remote_scope(cluster_->ledger(), txn_id, "remote_undo", "core",
+    const obs::ScopedCost remote_scope(cluster_->sinks(), txn_id, "remote_undo", "core",
                                        "undo");
     const sim::StopWatch remote_watch(cluster_->clock());
     const auto open = open_contexts();
-    std::uint64_t pushed = 0;
     for (auto& u : entries) {
-      const std::uint64_t needed = undo_entry_bytes(u.before.size());
-      undo_log_.ensure_capacity(mirror_set_, needed, open);
+      undo_log_.ensure_capacity(mirror_set_, undo_entry_bytes(u.before.size()), open);
       undo_log_.push(mirror_set_, u, txn_id, netram::StreamHint::kNewBurst,
                      observer_.get());  // figure 3, step 2
-      pushed += needed;
       cluster_->failures().notify(points::kAfterRemoteUndo);
       ctx->undo().push_back(std::move(u));
       ctx->set_pushed_entries(ctx->undo().size());
     }
     stats_.time_remote_undo += remote_watch.elapsed();
-    ctx->times().remote_undo += remote_watch.elapsed();
-    if (observer_) {
-      observer_->on_phase(txn_id, TxnPhase::kRemoteUndo, remote_watch.start(),
-                          remote_watch.elapsed(), pushed * mirror_set_.size(), 0);
-    }
   } else {
     for (auto& u : entries) ctx->undo().push_back(std::move(u));
   }
@@ -429,7 +415,7 @@ void Perseas::txn_read_range(std::uint64_t txn_id, std::uint32_t record, std::ui
 
 void Perseas::txn_commit_impl(std::uint64_t txn_id) {
   sync::LockGuard lock(mu_);
-  const obs::ScopedCost cost_scope(cluster_->ledger(), txn_id, "commit", "core", "cpu");
+  const obs::ScopedCost cost_scope(cluster_->sinks(), txn_id, "commit", "core", "cpu");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_commit);
   TxnContext* ctx = find_context(txn_id);
   if (ctx == nullptr) throw UsageError("commit: no active transaction");
@@ -451,7 +437,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
   // set.  A failure here is purely local — nothing has been propagated, so
   // the caller aborts exactly as it would after a declare-time conflict.
   {
-    const obs::ScopedCost validate_scope(cluster_->ledger(), txn_id, "validate", "core",
+    const obs::ScopedCost validate_scope(cluster_->sinks(), txn_id, "validate", "core",
                                          "cpu");
     const sim::StopWatch validate_watch(cluster_->clock());
     const std::uint64_t writer = cc_->on_validate(*ctx);
@@ -472,7 +458,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     // tail is safe here because lazy pushes happen only inside this
     // synchronous commit — no other open transaction has live entries.
     undo_log_.reset_tail();
-    const obs::ScopedCost remote_scope(cluster_->ledger(), txn_id, "remote_undo", "core",
+    const obs::ScopedCost remote_scope(cluster_->sinks(), txn_id, "remote_undo", "core",
                                        "undo");
     const sim::StopWatch remote_watch(cluster_->clock());
     std::uint64_t total = 0;
@@ -498,11 +484,6 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
       cluster_->failures().notify(points::kAfterRemoteUndo);
     }
     stats_.time_remote_undo += remote_watch.elapsed();
-    ctx->times().remote_undo += remote_watch.elapsed();
-    if (observer_) {
-      observer_->on_phase(txn_id, TxnPhase::kRemoteUndo, remote_watch.start(),
-                          remote_watch.elapsed(), total * mirror_set_.size(), 0);
-    }
   }
 
   if (ctx->undo().empty()) {  // read-only transaction: nothing to propagate
@@ -524,53 +505,40 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     // — this transaction's and any open neighbour's interleaved with them.
     const sim::StopWatch set_watch(cluster_->clock());
     {
-      const obs::ScopedCost flag_scope(cluster_->ledger(), txn_id, "flag_set", "core",
+      const obs::ScopedCost flag_scope(cluster_->sinks(), txn_id, "flag_set", "core",
                                        "flag");
       mirror_set_.store_flag(m, txn_id, undo_log_.tail(), netram::StreamHint::kNewBurst);
     }
     stats_.time_commit_flags += set_watch.elapsed();
-    ctx->times().commit_flags += set_watch.elapsed();
-    if (observer_) {
-      observer_->on_phase(txn_id, TxnPhase::kFlagSet, set_watch.start(), set_watch.elapsed(),
-                          kFlagBytes, mi);
-    }
     cluster_->failures().notify(points::kAfterFlagSet);
 
-    const obs::ScopedCost propagate_scope(cluster_->ledger(), txn_id, "propagate", "core",
-                                          "propagate");
-    const sim::StopWatch propagate_watch(cluster_->clock());
-    std::uint64_t mirror_bytes = 0;
-    const auto after_copy = [this] { cluster_->failures().notify(points::kAfterRangeCopy); };
-    if (config_.coalesce_ranges) {
-      // figure 3, step 3 — each record's merged dirty union exactly once,
-      // gathered into shared SCI bursts (adjacent ranges share packets,
-      // later bursts skip the launch latency).
-      mirror_bytes = mirror_set_.propagate_ranges(m, ctx->write_set(), records_, after_copy);
-      stats_.bytes_dedup_propagated += ctx->declared_bytes() - mirror_bytes;
-    } else {
-      mirror_bytes = mirror_set_.propagate_entries(m, ctx->undo(), records_, after_copy);
-    }
-    stats_.time_propagation += propagate_watch.elapsed();
-    ctx->times().propagation += propagate_watch.elapsed();
-    if (observer_) {
-      observer_->on_phase(txn_id, TxnPhase::kPropagate, propagate_watch.start(),
-                          propagate_watch.elapsed(), mirror_bytes, mi);
+    {
+      const obs::ScopedCost propagate_scope(cluster_->sinks(), txn_id, "propagate", "core",
+                                            "propagate");
+      const sim::StopWatch propagate_watch(cluster_->clock());
+      const auto after_copy = [this] { cluster_->failures().notify(points::kAfterRangeCopy); };
+      if (config_.coalesce_ranges) {
+        // figure 3, step 3 — each record's merged dirty union exactly once,
+        // gathered into shared SCI bursts (adjacent ranges share packets,
+        // later bursts skip the launch latency).
+        const std::uint64_t mirror_bytes =
+            mirror_set_.propagate_ranges(m, ctx->write_set(), records_, after_copy);
+        stats_.bytes_dedup_propagated += ctx->declared_bytes() - mirror_bytes;
+      } else {
+        mirror_set_.propagate_entries(m, ctx->undo(), records_, after_copy);
+      }
+      stats_.time_propagation += propagate_watch.elapsed();
     }
 
     cluster_->failures().notify(points::kBeforeFlagClear);
     // THE commit point (for this mirror): the store clearing the flag.
     const sim::StopWatch clear_watch(cluster_->clock());
     if (!mc_skip_flag_clear_) {
-      const obs::ScopedCost clear_scope(cluster_->ledger(), txn_id, "flag_clear", "core",
+      const obs::ScopedCost clear_scope(cluster_->sinks(), txn_id, "flag_clear", "core",
                                         "flag");
       mirror_set_.store_flag(m, 0, 0, netram::StreamHint::kContinuation);
     }
     stats_.time_commit_flags += clear_watch.elapsed();
-    ctx->times().commit_flags += clear_watch.elapsed();
-    if (observer_) {
-      observer_->on_phase(txn_id, TxnPhase::kFlagClear, clear_watch.start(),
-                          clear_watch.elapsed(), kFlagBytes, mi);
-    }
     cluster_->failures().notify(points::kAfterFlagClear);
   }
 
@@ -587,7 +555,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
 
 void Perseas::txn_abort_impl(std::uint64_t txn_id) {
   sync::LockGuard lock(mu_);
-  const obs::ScopedCost cost_scope(cluster_->ledger(), txn_id, "abort", "core", "local");
+  const obs::ScopedCost cost_scope(cluster_->sinks(), txn_id, "abort", "core", "local");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_abort);
   TxnContext* ctx = find_context(txn_id);
   if (ctx == nullptr) throw UsageError("abort: no active transaction");

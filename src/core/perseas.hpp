@@ -60,7 +60,6 @@
 #include "netram/cluster.hpp"
 #include "netram/remote_memory.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace perseas::core {
 
@@ -210,8 +209,8 @@ class Perseas {
   Perseas& operator=(Perseas&&) = delete;
   Perseas(const Perseas&) = delete;
   Perseas& operator=(const Perseas&) = delete;
-  /// Flushes environment-variable-owned observability (PERSEAS_TRACE /
-  /// PERSEAS_METRICS dumps); no-op otherwise.
+  /// Writes this instance's metrics to the path PERSEAS_METRICS named at
+  /// construction; no-op otherwise.
   ~Perseas();
 
   /// PERSEAS_malloc: allocates a persistent record of `size` bytes in local
@@ -255,8 +254,8 @@ class Perseas {
     return open_.size();
   }
 
-  /// True when any transaction observer (validator and/or tracer) is
-  /// installed; see PerseasConfig::validate_writes / trace / metrics.
+  /// True when the write-set validator is installed; see
+  /// PerseasConfig::validate_writes.
   [[nodiscard]] bool validating() const noexcept { return observer_ != nullptr; }
 
   /// Folds PerseasStats (plus undo-log occupancy and observer counters)
@@ -330,13 +329,12 @@ class Perseas {
   /// Builds the record views handed to the observer (observer installed
   /// only: never called on the validation-off path).
   [[nodiscard]] std::vector<TxnRecordView> observer_views() PERSEAS_REQUIRES(mu_);
-  /// Installs the configured observers: check::TxnValidator when
-  /// validate_writes (or PERSEAS_VALIDATE_WRITES) asks for it,
-  /// obs::TxnTracer when trace/metrics (or PERSEAS_TRACE/PERSEAS_METRICS)
-  /// do, both behind a TxnObserverMux when they coexist.
+  /// Installs check::TxnValidator when validate_writes (or
+  /// PERSEAS_VALIDATE_WRITES) asks for it, and notes the PERSEAS_METRICS
+  /// path.
   void maybe_install_observers();
-  /// Dumps environment-variable-owned trace/metrics (called by ~Perseas).
-  void flush_owned_observability() noexcept;
+  /// Writes the PERSEAS_METRICS dump (called by ~Perseas).
+  void dump_env_metrics() const noexcept;
 
   /// The open transaction with this id, or nullptr.
   [[nodiscard]] TxnContext* find_context(std::uint64_t txn_id) noexcept PERSEAS_REQUIRES(mu_);
@@ -406,13 +404,9 @@ class Perseas {
   /// Installed by maybe_install_observers; hooks fire only when non-null.
   std::unique_ptr<TxnObserver> observer_;
 
-  /// Owned only on the PERSEAS_TRACE / PERSEAS_METRICS environment-variable
-  /// path (config pointers take precedence and are never owned); flushed to
-  /// the env-given paths by the destructor.
-  std::unique_ptr<obs::TraceRecorder> owned_trace_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  std::string owned_trace_path_;
-  std::string owned_metrics_path_;
+  /// Where the destructor writes export_metrics (PERSEAS_METRICS); empty =
+  /// nowhere.
+  std::string env_metrics_path_;
 };
 
 }  // namespace perseas::core

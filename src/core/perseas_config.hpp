@@ -10,11 +10,6 @@
 
 #include "sim/sim_time.hpp"
 
-namespace perseas::obs {
-class TraceRecorder;
-class MetricsRegistry;
-}  // namespace perseas::obs
-
 namespace perseas::core {
 
 /// Which concurrency-control policy arbitrates between concurrently open
@@ -75,21 +70,6 @@ struct PerseasConfig {
   /// simulated time.  Off by default; the environment variable
   /// PERSEAS_VALIDATE_WRITES=1 force-enables it (CI sanitizer runs).
   bool validate_writes = false;
-  /// Observability (obs::TxnTracer) — both are optional, not owned, and
-  /// must outlive the instance.  When `trace` is set, every transaction
-  /// emits Perfetto spans on `trace_track` (0 = the instance registers its
-  /// own track named after the database; concurrently open transactions
-  /// beyond the first get additional lazily-registered tracks so their
-  /// spans never interleave on one lane); when `metrics` is set, txn
-  /// latency and per-phase histograms are observed live.  When *neither*
-  /// is set, the environment variables PERSEAS_TRACE=<path> and
-  /// PERSEAS_METRICS=<path> make the instance own a recorder/registry and
-  /// dump them at destruction.  Composes with validate_writes through
-  /// core::TxnObserverMux (validator keeps its veto).  Like validation,
-  /// observability charges no simulated time or traffic.
-  obs::TraceRecorder* trace = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  std::uint32_t trace_track = 0;
   /// Concurrency-control policy for concurrently open transactions.  The
   /// environment variable PERSEAS_CC=fww|wait-die|validate overrides the
   /// config (like PERSEAS_COALESCE: the CI model-check legs could not

@@ -1,87 +1,29 @@
-// Observability wiring of the Perseas orchestration layer: observer
-// installation (validator/tracer/mux), environment-variable-owned sinks,
-// and the PerseasStats -> MetricsRegistry export.  Split from perseas.cpp
-// so the protocol sequencing stays readable on its own.
+// Observability wiring of the Perseas orchestration layer: the write-set
+// validator, the PERSEAS_METRICS dump, and the PerseasStats ->
+// MetricsRegistry export.  Split from perseas.cpp so the protocol
+// sequencing stays readable on its own.  (Trace spans come from the cost
+// scopes in perseas.cpp; PERSEAS_TRACE is the cluster's.)
 #include <cstdlib>
 #include <string>
 
 #include "check/txn_validator.hpp"
-#include "core/observer_mux.hpp"
 #include "core/perseas.hpp"
-#include "obs/txn_tracer.hpp"
 
 namespace perseas::core {
 
-namespace {
-
-/// Non-empty value of environment variable `name`, or nullptr.
-const char* env_path(const char* name) {
-  const char* v = std::getenv(name);
-  return (v != nullptr && *v != '\0') ? v : nullptr;
-}
-
-}  // namespace
-
 void Perseas::maybe_install_observers() {
-  std::unique_ptr<TxnObserver> validator;
   if (config_.validate_writes || std::getenv("PERSEAS_VALIDATE_WRITES") != nullptr) {
-    validator = std::make_unique<check::TxnValidator>();
+    observer_ = std::make_unique<check::TxnValidator>();
   }
-
-  // Config pointers win; the environment variables only kick in when the
-  // caller wired nothing, and then the instance owns the sinks and dumps
-  // them at destruction.
-  obs::TraceRecorder* trace = config_.trace;
-  obs::MetricsRegistry* metrics = config_.metrics;
-  if (trace == nullptr && metrics == nullptr) {
-    if (const char* path = env_path("PERSEAS_TRACE")) {
-      owned_trace_ = std::make_unique<obs::TraceRecorder>();
-      owned_trace_path_ = path;
-      trace = owned_trace_.get();
-    }
-    if (const char* path = env_path("PERSEAS_METRICS")) {
-      owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-      owned_metrics_path_ = path;
-      metrics = owned_metrics_.get();
-    }
-  }
-
-  std::unique_ptr<TxnObserver> tracer;
-  if (trace != nullptr || metrics != nullptr) {
-    std::uint32_t track = config_.trace_track;
-    if (trace != nullptr && track == 0) {
-      track = trace->register_track("perseas:" + config_.name);
-      trace->set_thread_name(track, static_cast<std::uint32_t>(local_),
-                             "node-" + std::to_string(local_));
-    }
-    tracer = std::make_unique<obs::TxnTracer>(cluster_->clock(), trace, track, metrics,
-                                              static_cast<std::uint32_t>(local_),
-                                              "perseas:" + config_.name);
-  }
-
-  if (validator != nullptr && tracer != nullptr) {
-    auto mux = std::make_unique<TxnObserverMux>();
-    mux->add(std::move(validator));  // first: a veto throw skips the tracer
-    mux->add(std::move(tracer));
-    observer_ = std::move(mux);
-  } else if (validator != nullptr) {
-    observer_ = std::move(validator);
-  } else {
-    observer_ = std::move(tracer);
-  }
+  if (const char* path = std::getenv("PERSEAS_METRICS")) env_metrics_path_ = path;
 }
 
-void Perseas::flush_owned_observability() noexcept {
+void Perseas::dump_env_metrics() const noexcept {
+  if (env_metrics_path_.empty()) return;
   try {
-    if (owned_metrics_ != nullptr) {
-      export_metrics(*owned_metrics_);
-      owned_metrics_->save(owned_metrics_path_);
-      owned_metrics_.reset();
-    }
-    if (owned_trace_ != nullptr) {
-      owned_trace_->save(owned_trace_path_);
-      owned_trace_.reset();
-    }
+    obs::MetricsRegistry reg;
+    export_metrics(reg);
+    reg.save(env_metrics_path_);
   } catch (...) {
     // Destructor path: a failed dump must not terminate the program.
   }
@@ -194,7 +136,7 @@ void Perseas::export_metrics(obs::MetricsRegistry& reg) const {
 
   if (observer_) {
     const TxnObserverStats v = validator_stats();
-    count("perseas_validator_txns_observed_total", "Transactions seen by the observer chain",
+    count("perseas_validator_txns_observed_total", "Transactions seen by the validator",
           v.txns_observed, db);
     count("perseas_validator_snapshots_total", "Records snapshotted at begin",
           v.snapshots_taken, db);

@@ -32,7 +32,7 @@ void Perseas::attach_recover(const std::vector<netram::RemoteMemoryServer*>& ser
   sync::LockGuard lock(mu_);
   // Every recovery charge is one ledger bucket: recovery is not part of any
   // transaction's phase breakdown, but its cost must still balance the clock.
-  const obs::ScopedCost recover_scope(cluster_->ledger(), 0, "recover", "core", "cpu");
+  const obs::ScopedCost recover_scope(cluster_->sinks(), 0, "recover", "core", "cpu");
   obs::FlightRecorder& flight = cluster_->flight();
   // Narrated milestones (recover.step events) at each protocol checkpoint;
   // together with the recover.scan/rollback/discard events below they form

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/range_set.hpp"
-#include "sim/sim_time.hpp"
 
 namespace perseas::core {
 
@@ -74,17 +73,6 @@ class TxnContext {
 
   [[nodiscard]] std::uint64_t declared_bytes() const noexcept { return declared_bytes_; }
 
-  /// Simulated time this transaction spent per protocol phase (the
-  /// per-transaction slice of PerseasStats' aggregate phase counters).
-  struct PhaseTimes {
-    sim::SimDuration local_undo = 0;
-    sim::SimDuration remote_undo = 0;
-    sim::SimDuration propagation = 0;
-    sim::SimDuration commit_flags = 0;
-  };
-  [[nodiscard]] PhaseTimes& times() noexcept { return times_; }
-  [[nodiscard]] const PhaseTimes& times() const noexcept { return times_; }
-
  private:
   std::uint64_t id_;
   std::vector<UndoImage> undo_;
@@ -92,7 +80,6 @@ class TxnContext {
   std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>> write_set_;
   std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>> read_set_;
   std::uint64_t declared_bytes_ = 0;
-  PhaseTimes times_;
 };
 
 }  // namespace perseas::core

@@ -20,33 +20,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
-
-#include "sim/sim_time.hpp"
 
 namespace perseas::core {
-
-/// The protocol phases whose simulated cost composes a PERSEAS commit
-/// (paper figure 3's three memory copies plus the commit-point stores).
-/// Reported to observers through TxnObserver::on_phase.
-enum class TxnPhase : std::uint8_t {
-  kLocalUndo,   ///< step 1: before-image memcpy into the local undo log
-  kRemoteUndo,  ///< step 2: undo entry pushed to every mirror
-  kPropagate,   ///< step 3: declared ranges copied to one mirror's database
-  kFlagSet,     ///< "propagation in progress" stored on one mirror
-  kFlagClear,   ///< the commit point: the clearing store on one mirror
-};
-
-[[nodiscard]] constexpr std::string_view to_string(TxnPhase phase) noexcept {
-  switch (phase) {
-    case TxnPhase::kLocalUndo: return "local_undo";
-    case TxnPhase::kRemoteUndo: return "remote_undo";
-    case TxnPhase::kPropagate: return "propagate";
-    case TxnPhase::kFlagSet: return "flag_set";
-    case TxnPhase::kFlagClear: return "flag_clear";
-  }
-  return "unknown";
-}
 
 /// One record's live local bytes, as shown to a TxnObserver.
 struct TxnRecordView {
@@ -105,16 +80,6 @@ class TxnObserver {
 
   /// Abort finished restoring the declared before-images locally.
   virtual void on_abort(std::uint64_t txn_id, std::span<const TxnRecordView> records) = 0;
-
-  /// One protocol phase finished, having advanced the simulated clock from
-  /// `start` for `duration` while moving `bytes` bytes; `mirror` names the
-  /// mirror index for the per-mirror phases (kPropagate, kFlagSet,
-  /// kFlagClear) and is 0 for the local/broadcast ones.  Default no-op so
-  /// purely structural observers (the write-set validator) ignore timing.
-  virtual void on_phase(std::uint64_t txn_id, TxnPhase phase, sim::SimTime start,
-                        sim::SimDuration duration, std::uint64_t bytes, std::uint32_t mirror) {
-    (void)txn_id, (void)phase, (void)start, (void)duration, (void)bytes, (void)mirror;
-  }
 
   /// Commit finished: every mirror's flag is cleared and the transaction is
   /// durable (also fired for read-only commits).  on_commit, by contrast,

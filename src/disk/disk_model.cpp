@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace perseas::disk {
 
@@ -45,10 +44,6 @@ sim::SimDuration DiskModel::sync_write(std::uint64_t offset, std::uint64_t bytes
   ++stats_.sync_writes;
   stats_.bytes_written += bytes;
   stats_.busy_time += svc;
-  if (trace_ != nullptr) {
-    trace_->complete(trace_track_, trace_tid_, "disk", "disk.sync_write", start,
-                     clock_->now() - start, {{"offset", offset}, {"bytes", bytes}});
-  }
   return clock_->now() - start;
 }
 
@@ -72,12 +67,6 @@ sim::SimDuration DiskModel::async_write(std::uint64_t offset, std::uint64_t byte
   ++stats_.async_writes;
   stats_.bytes_written += bytes;
   stats_.busy_time += svc;
-  if (trace_ != nullptr) {
-    // The span covers the caller-visible cost (stall + driver call), not
-    // the media time, which completes in the background at `done_at`.
-    trace_->complete(trace_track_, trace_tid_, "disk", "disk.async_write", start,
-                     clock_->now() - start, {{"offset", offset}, {"bytes", bytes}});
-  }
   return clock_->now() - start;
 }
 
@@ -91,10 +80,6 @@ sim::SimDuration DiskModel::read(std::uint64_t offset, std::uint64_t bytes) {
   ++stats_.reads;
   stats_.bytes_read += bytes;
   stats_.busy_time += svc;
-  if (trace_ != nullptr) {
-    trace_->complete(trace_track_, trace_tid_, "disk", "disk.read", start,
-                     clock_->now() - start, {{"offset", offset}, {"bytes", bytes}});
-  }
   return clock_->now() - start;
 }
 
@@ -102,22 +87,12 @@ sim::SimDuration DiskModel::flush() {
   const sim::SimTime start = clock_->now();
   if (busy_until_ > clock_->now()) clock_->advance(busy_until_ - clock_->now());
   drain_completed();
-  if (trace_ != nullptr && clock_->now() != start) {
-    trace_->complete(trace_track_, trace_tid_, "disk", "disk.flush", start,
-                     clock_->now() - start, {});
-  }
   return clock_->now() - start;
 }
 
 std::uint64_t DiskModel::pending_bytes() {
   drain_completed();
   return pending_bytes_;
-}
-
-void DiskModel::set_trace(obs::TraceRecorder* trace, std::uint32_t track, std::uint32_t tid) {
-  trace_ = trace;
-  trace_track_ = track;
-  trace_tid_ = tid;
 }
 
 void DiskModel::export_metrics(obs::MetricsRegistry& reg) const {

@@ -16,7 +16,6 @@
 #include "sim/hardware_profile.hpp"
 
 namespace perseas::obs {
-class TraceRecorder;
 class MetricsRegistry;
 }  // namespace perseas::obs
 
@@ -58,10 +57,6 @@ class DiskModel {
   [[nodiscard]] const DiskStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const sim::DiskParams& params() const noexcept { return params_; }
 
-  /// Attaches a trace recorder (nullptr detaches): every disk request
-  /// emits a disk.* span on `track` lane `tid`.  Charges nothing when off.
-  void set_trace(obs::TraceRecorder* trace, std::uint32_t track, std::uint32_t tid);
-
   /// Folds DiskStats into `reg` as disk_* metrics (once per disk per
   /// registry, at dump time).
   void export_metrics(obs::MetricsRegistry& reg) const;
@@ -86,9 +81,6 @@ class DiskModel {
   std::uint64_t pending_bytes_ = 0;
   std::uint64_t last_end_offset_ = UINT64_MAX;  // head position heuristic
   DiskStats stats_;
-  obs::TraceRecorder* trace_ = nullptr;  // not owned; null = tracing off
-  std::uint32_t trace_track_ = 0;
-  std::uint32_t trace_tid_ = 0;
 };
 
 }  // namespace perseas::disk

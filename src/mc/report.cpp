@@ -1,8 +1,6 @@
 #include "mc/report.hpp"
 
-#include <fstream>
-#include <iostream>
-#include <stdexcept>
+#include "obs/output.hpp"
 
 namespace perseas::mc {
 
@@ -76,15 +74,7 @@ obs::Json mc_report_json(const McResult& result) {
 }
 
 void save_mc_report(const McResult& result, const std::string& path) {
-  const std::string text = mc_report_json(result).dump(2) + "\n";
-  if (path == "-") {
-    std::cout << text;
-    return;
-  }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("save_mc_report: cannot open '" + path + "'");
-  out << text;
-  if (!out.good()) throw std::runtime_error("save_mc_report: write to '" + path + "' failed");
+  obs::write_file("save_mc_report", path, mc_report_json(result).dump(2) + "\n");
 }
 
 }  // namespace perseas::mc

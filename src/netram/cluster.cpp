@@ -32,6 +32,24 @@ Cluster::Cluster(const sim::HardwareProfile& profile, const ClusterConfig& confi
   if (const char* path = std::getenv("PERSEAS_BLACKBOX"); path != nullptr && *path != '\0') {
     flight_.set_dump_path(path);
   }
+  sinks_.clock = &clock_;
+  // PERSEAS_TRACE=<path> traces any program without code changes: the
+  // cluster owns a recorder and writes it at destruction, unless
+  // set_trace has replaced it by then (a bench's own trace, say).
+  if (const char* path = std::getenv("PERSEAS_TRACE"); path != nullptr && *path != '\0') {
+    env_recorder_ = std::make_unique<obs::TraceRecorder>();
+    env_trace_path_ = path;
+    set_trace(env_recorder_.get(), env_recorder_->register_track("cluster"));
+  }
+}
+
+Cluster::~Cluster() {
+  if (env_recorder_ == nullptr || sinks_.trace != env_recorder_.get()) return;
+  try {
+    env_recorder_->save(env_trace_path_);
+  } catch (...) {
+    // Destructor path: a failed dump must not terminate the program.
+  }
 }
 
 Cluster::Cluster(const sim::HardwareProfile& profile, std::uint32_t node_count)
@@ -111,7 +129,6 @@ sim::SimDuration Cluster::remote_write(NodeId local, NodeId remote, std::uint64_
   const SciStoreBreakdown b = optimized
                                   ? link_.optimized_store_burst(remote_offset, data.size(), hint)
                                   : link_.store_burst(remote_offset, data.size(), hint);
-  const sim::SimTime start = clock_.now();
   clock_.advance(b.total);
 
   auto dst = node(remote).mem(remote_offset, data.size());
@@ -122,18 +139,7 @@ sim::SimDuration Cluster::remote_write(NodeId local, NodeId remote, std::uint64_
   stats_.full_packets += b.full_packets;
   stats_.partial_packets += b.partial_packets;
   flight_.record(core::EventKind::kSciBurst, 0, remote, data.size(), 1);
-  if (ledger_ != nullptr) ledger_->add_bytes(data.size());
-  if (trace_ != nullptr) {
-    // Per-store SciStoreBreakdown: how the burst split into full/partial
-    // SCI packets, the quantity figure 4's cost model is built on.
-    trace_->complete(trace_track_, static_cast<std::uint32_t>(local), "net", "sci.store",
-                     start, b.total,
-                     {{"to", remote},
-                      {"offset", remote_offset},
-                      {"bytes", data.size()},
-                      {"full_packets", b.full_packets},
-                      {"partial_packets", b.partial_packets}});
-  }
+  if (sinks_.ledger != nullptr) sinks_.ledger->add_bytes(data.size());
   return b.total;
 }
 
@@ -144,7 +150,6 @@ sim::SimDuration Cluster::remote_read(NodeId local, NodeId remote, std::uint64_t
   if (out.empty()) return 0;
 
   const sim::SimDuration cost = link_.read_burst(remote_offset, out.size());
-  const sim::SimTime start = clock_.now();
   clock_.advance(cost);
 
   auto src = node(remote).mem(remote_offset, out.size());
@@ -153,11 +158,7 @@ sim::SimDuration Cluster::remote_read(NodeId local, NodeId remote, std::uint64_t
   ++stats_.remote_reads;
   stats_.remote_read_bytes += out.size();
   flight_.record(core::EventKind::kSciBurst, 0, remote, out.size(), 0);
-  if (ledger_ != nullptr) ledger_->add_bytes(out.size());
-  if (trace_ != nullptr) {
-    trace_->complete(trace_track_, static_cast<std::uint32_t>(local), "net", "sci.read", start,
-                     cost, {{"from", remote}, {"offset", remote_offset}, {"bytes", out.size()}});
-  }
+  if (sinks_.ledger != nullptr) sinks_.ledger->add_bytes(out.size());
   return cost;
 }
 
@@ -165,13 +166,8 @@ sim::SimDuration Cluster::control_rpc(NodeId local, NodeId remote) {
   require_alive(local);
   require_alive(remote);
   const sim::SimDuration cost = profile_.sci.control_rtt;
-  const sim::SimTime start = clock_.now();
   clock_.advance(cost);
   ++stats_.control_rpcs;
-  if (trace_ != nullptr) {
-    trace_->complete(trace_track_, static_cast<std::uint32_t>(local), "net", "sci.rpc", start,
-                     cost, {{"to", remote}});
-  }
   return cost;
 }
 
@@ -179,14 +175,9 @@ sim::SimDuration Cluster::charge_local_memcpy(NodeId node_id, std::uint64_t byte
   require_alive(node_id);
   const sim::SimDuration cost =
       profile_.memory.memcpy_fixed + sim::transfer_time(bytes, profile_.memory.memcpy_bytes_per_sec);
-  const sim::SimTime start = clock_.now();
   clock_.advance(cost);
   ++stats_.local_memcpys;
   stats_.local_memcpy_bytes += bytes;
-  if (trace_ != nullptr) {
-    trace_->complete(trace_track_, static_cast<std::uint32_t>(node_id), "mem", "mem.copy",
-                     start, cost, {{"bytes", bytes}});
-  }
   return cost;
 }
 
@@ -196,18 +187,13 @@ void Cluster::charge_cpu(NodeId node_id, sim::SimDuration d) {
 }
 
 void Cluster::set_ledger(obs::CostLedger* ledger) noexcept {
-  ledger_ = ledger;
+  sinks_.ledger = ledger;
   clock_.set_observer(ledger);
 }
 
-void Cluster::set_trace(obs::TraceRecorder* trace, std::uint32_t track) {
-  trace_ = trace;
-  trace_track_ = track;
-  if (trace_ != nullptr) {
-    for (const auto& n : nodes_) {
-      trace_->set_thread_name(track, static_cast<std::uint32_t>(n->id()), n->name());
-    }
-  }
+void Cluster::set_trace(obs::TraceRecorder* trace, std::uint32_t track) noexcept {
+  sinks_.trace = trace;
+  sinks_.track = track;
 }
 
 void Cluster::export_metrics(obs::MetricsRegistry& reg) const {

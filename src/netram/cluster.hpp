@@ -60,6 +60,9 @@ class Cluster {
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
+  /// Writes the PERSEAS_TRACE file if the cluster still traces into the
+  /// recorder it owns.
+  ~Cluster();
 
   [[nodiscard]] std::uint32_t node_count() const noexcept {
     return static_cast<std::uint32_t>(nodes_.size());
@@ -78,13 +81,13 @@ class Cluster {
 
   // --- observability --------------------------------------------------------
 
-  /// Attaches a trace recorder (or detaches with nullptr): every charged
-  /// data movement emits a span on `track` with its SciStoreBreakdown
-  /// (full/partial packet split) as args.  Recording charges no simulated
-  /// time; when unset the hot paths only pay one null check.
-  void set_trace(obs::TraceRecorder* trace, std::uint32_t track);
-  [[nodiscard]] obs::TraceRecorder* trace() const noexcept { return trace_; }
-  [[nodiscard]] std::uint32_t trace_track() const noexcept { return trace_track_; }
+  /// Attaches a trace recorder (or detaches with nullptr) — the one place
+  /// a trace is attached: from then on every obs::ScopedCost on this
+  /// cluster records its phase as a span on `track` (lane = worker).
+  /// Replaces the recorder a PERSEAS_TRACE cluster owns (see the
+  /// constructor).  Recording charges no simulated time; when unset a scope
+  /// pays one null check.  Not owned.
+  void set_trace(obs::TraceRecorder* trace, std::uint32_t track) noexcept;
 
   /// The always-on blackbox: a bounded ring of protocol events from every
   /// engine on this cluster (SCI bursts, node crashes, every failure-point
@@ -100,7 +103,11 @@ class Cluster {
   /// this cluster lands in it (sum(ledger) == clock delta by construction),
   /// and the charged SCI movers attribute their payload bytes.  Not owned.
   void set_ledger(obs::CostLedger* ledger) noexcept;
-  [[nodiscard]] obs::CostLedger* ledger() const noexcept { return ledger_; }
+  [[nodiscard]] obs::CostLedger* ledger() const noexcept { return sinks_.ledger; }
+
+  /// What every obs::ScopedCost on this cluster reports to: the attached
+  /// ledger and trace, and this cluster's clock.
+  [[nodiscard]] const obs::CostSinks& sinks() const noexcept { return sinks_; }
 
   /// Folds NetworkStats (plus the simulated clock) into `reg` as netram_*
   /// metrics.  Call once per cluster per registry, at dump time.
@@ -161,10 +168,12 @@ class Cluster {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<sim::PowerSupply> supplies_;
   NetworkStats stats_;
-  obs::FlightRecorder flight_;           ///< always-on; reads clock_ only
-  obs::TraceRecorder* trace_ = nullptr;  ///< not owned; null = tracing off
-  std::uint32_t trace_track_ = 0;
-  obs::CostLedger* ledger_ = nullptr;  ///< not owned; null = no attribution
+  obs::FlightRecorder flight_;  ///< always-on; reads clock_ only
+  obs::CostSinks sinks_;        ///< ledger and trace not owned; null = off
+  /// Owned only when PERSEAS_TRACE names a path, and written there by the
+  /// destructor.
+  std::unique_ptr<obs::TraceRecorder> env_recorder_;
+  std::string env_trace_path_;
 };
 
 }  // namespace perseas::netram

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "obs/trace.hpp"
+
 namespace perseas::obs {
 
 CostEntry& CostLedger::entry_for_top() {
@@ -118,6 +120,25 @@ void CostLedger::clear() noexcept {
   sync::LockGuard lock(mu_);
   entries_.clear();
   stacks_.clear();
+}
+
+void ScopedCost::open_span(const CostSinks& sinks, std::uint64_t txn, std::string_view phase,
+                           std::string_view layer) noexcept {
+  clock_ = sinks.clock;
+  track_ = sinks.track;
+  txn_ = txn;
+  phase_ = phase;
+  layer_ = layer;
+  start_ = clock_->now();
+}
+
+void ScopedCost::close_span() noexcept {
+  try {
+    recorder_->complete(track_, sim::current_worker_id(), layer_, phase_, txn_, start_,
+                        clock_->now() - start_);
+  } catch (...) {
+    // Out of memory while recording: the span is lost, the run goes on.
+  }
 }
 
 }  // namespace perseas::obs

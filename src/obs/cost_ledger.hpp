@@ -16,11 +16,14 @@
 // channel="-"}; a growing unattributed row is the signal that a code path
 // needs a ScopedCost.
 //
-// Attribution is scoped RAII-style: the protocol pushes a scope around
-// each phase (core/perseas.cpp brackets local-undo, remote-undo,
-// flag-set, propagate, flag-clear, abort, recovery), and every charge the
-// netram layer makes while the scope is live is booked to it.  Bytes are
-// attributed explicitly by the cluster's charged ops via add_bytes().
+// Attribution is scoped RAII-style: the engines push a ScopedCost around
+// each phase (core/perseas.cpp brackets begin, set_range, local-undo,
+// remote-undo, validate, flag-set, propagate, flag-clear, commit, abort,
+// recovery; the WAL engines their own lifecycle), and every charge the
+// netram layer makes while the scope is live is booked to it.  The same
+// scope is the phase's trace span when a TraceRecorder is attached, so
+// every phase has one instrumentation site.  Bytes are attributed
+// explicitly by the cluster's charged ops via add_bytes().
 //
 // Like all of perseas::obs, the ledger charges no simulated time and no
 // simulated traffic of its own; with no ledger installed the clock hook
@@ -120,7 +123,14 @@ class CostLedger final : public sim::SimClock::ChargeObserver {
     std::size_t last_hit = 0;
   };
 
-  [[nodiscard]] CostEntry& entry_for_top() PERSEAS_REQUIRES(mu_);
+  /// The row of the calling worker's current scope (created on first
+  /// charge).  Its row scan is the hot loop of every threaded run with a
+  /// ledger attached (it runs under mu_, so it serializes the workers), and
+  /// its throughput depends on where the loop falls relative to 64-byte
+  /// boundaries: left to the linker, unrelated code-size changes moved it
+  /// and swung multi-threaded host throughput by 20-30%.  The pinned
+  /// alignment keeps host-time measurements comparable across changes.
+  [[gnu::aligned(64)]] [[nodiscard]] CostEntry& entry_for_top() PERSEAS_REQUIRES(mu_);
 
   mutable sync::Mutex mu_;
   std::vector<CostEntry> entries_ PERSEAS_GUARDED_BY(mu_);
@@ -129,20 +139,43 @@ class CostLedger final : public sim::SimClock::ChargeObserver {
   std::unordered_map<std::uint32_t, ScopeStack> stacks_ PERSEAS_GUARDED_BY(mu_);
 };
 
-/// RAII attribution scope.  Null-safe: with `ledger == nullptr` (the
-/// recorder-off configuration) construction and destruction are no-ops,
-/// so call sites need no branching.
+class TraceRecorder;
+
+/// Where cost scopes report: the ledger their charges book into, the trace
+/// their spans land in (either may be null), and the clock spans are
+/// stamped with.  netram::Cluster owns the one instance of a simulation
+/// (Cluster::set_ledger / Cluster::set_trace fill it in) and hands it to
+/// every scope as Cluster::sinks().
+struct CostSinks {
+  CostLedger* ledger = nullptr;
+  TraceRecorder* trace = nullptr;
+  std::uint32_t track = 0;  ///< the trace track spans land on
+  const sim::SimClock* clock = nullptr;
+};
+
+/// RAII cost scope: the one instrumentation site of a protocol phase.
+/// While it lives, every charge on the calling worker books into the
+/// ledger under (txn, phase, layer, channel); when it closes, it records
+/// one complete trace span (name = phase, category = layer, lane =
+/// sim::current_worker_id(), arg txn) from its opening to its closing
+/// simulated instant.  Spans need no ledger, and with neither sink
+/// attached construction and destruction are two null checks that read no
+/// clock, so call sites need no branching.  The scope keeps views of
+/// `phase` and `layer` until it closes, so what they view must outlive it:
+/// pass string literals, never a temporary std::string.
 class ScopedCost {
  public:
-  ScopedCost(CostLedger* ledger, std::uint64_t txn, std::string_view phase,
+  ScopedCost(const CostSinks& sinks, std::uint64_t txn, std::string_view phase,
              std::string_view layer, std::string_view channel)
-      : ledger_(ledger) {
+      : ledger_(sinks.ledger), recorder_(sinks.trace) {
     if (ledger_ != nullptr) {
       ledger_->push_scope(
           CostKey{txn, std::string(phase), std::string(layer), std::string(channel)});
     }
+    if (recorder_ != nullptr) open_span(sinks, txn, phase, layer);
   }
   ~ScopedCost() {
+    if (recorder_ != nullptr) close_span();
     if (ledger_ != nullptr) ledger_->pop_scope();
   }
 
@@ -150,7 +183,19 @@ class ScopedCost {
   ScopedCost& operator=(const ScopedCost&) = delete;
 
  private:
+  void open_span(const CostSinks& sinks, std::uint64_t txn, std::string_view phase,
+                 std::string_view layer) noexcept;
+  void close_span() noexcept;
+
   CostLedger* ledger_;
+  TraceRecorder* recorder_;
+  // The open span; meaningful only while recorder_ != nullptr.
+  const sim::SimClock* clock_ = nullptr;
+  std::uint32_t track_ = 0;
+  std::uint64_t txn_ = 0;
+  std::string_view phase_;
+  std::string_view layer_;
+  sim::SimTime start_ = 0;
 };
 
 }  // namespace perseas::obs

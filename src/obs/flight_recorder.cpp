@@ -1,10 +1,8 @@
 #include "obs/flight_recorder.hpp"
 
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <stdexcept>
 #include <string>
+
+#include "obs/output.hpp"
 
 namespace perseas::obs {
 namespace {
@@ -175,18 +173,7 @@ void FlightRecorder::dump_locked(const std::string& path) const {
     put_u64(buf, e.c);
   }
 
-  errno = 0;
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("FlightRecorder::dump: cannot open '" + path +
-                             "': " + std::strerror(errno));
-  }
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("FlightRecorder::dump: short write to '" + path +
-                             "': " + std::strerror(errno));
-  }
+  write_file("FlightRecorder::dump", path, buf);
 }
 
 void FlightRecorder::dump(const std::string& path) const {

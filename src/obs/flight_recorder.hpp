@@ -99,9 +99,8 @@ class FlightRecorder {
   [[nodiscard]] std::vector<std::string> narrative(std::size_t n = 0) const;
 
   /// Writes the self-contained binary blackbox dump (magic "PSEASFR1",
-  /// kind table, string table, retained events).  Parent directories are
-  /// NOT created.  Throws std::runtime_error with the errno string when
-  /// the file cannot be opened or fully written.
+  /// kind table, string table, retained events) through obs::write_file,
+  /// which throws std::runtime_error on any I/O failure.
   void dump(const std::string& path) const;
 
   /// Where note_anomaly() auto-dumps; empty (the default) disables

@@ -1,12 +1,10 @@
 #include "obs/metrics.hpp"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <stdexcept>
+
+#include "obs/output.hpp"
 
 namespace perseas::obs {
 
@@ -149,28 +147,9 @@ Json MetricsRegistry::to_json() const {
 }
 
 void MetricsRegistry::save(const std::string& path) const {
-  if (path == "-") {
-    std::cout << to_json().dump(2) << "\n";
-    return;
-  }
-  errno = 0;
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("MetricsRegistry::save: cannot open '" + path +
-                             "': " + std::strerror(errno) +
-                             " (parent directories are not created)");
-  }
   const bool prometheus = path.ends_with(".prom") || path.ends_with(".txt");
-  if (prometheus) {
-    out << to_prometheus();
-  } else {
-    out << to_json().dump(2) << "\n";
-  }
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("MetricsRegistry::save: write to '" + path +
-                             "' failed: " + std::strerror(errno));
-  }
+  write_file("MetricsRegistry::save", path,
+             prometheus ? to_prometheus() : to_json().dump(2) + "\n");
 }
 
 }  // namespace perseas::obs

@@ -1,22 +1,16 @@
 // Named-metric registry: counters, gauges, and histograms, dumped as
 // Prometheus text format and as machine-readable JSON.
 //
-// Two usage patterns coexist:
+// Metrics are exported on dump: every layer already keeps an authoritative
+// stats struct (core::PerseasStats, netram::NetworkStats, disk::DiskStats,
+// the WAL engines' stats).  Each layer's export_metrics() folds that struct
+// into the registry right before serialization, so the registry and the
+// stats structs cannot drift: the stats struct *is* the source of truth and
+// the registry is a view.  Call export_metrics once per component instance
+// per registry (counters accumulate across instances, e.g. one row per
+// bench configuration).
 //
-//   * live metrics — obs::TxnTracer observes each transaction's latency and
-//     per-phase durations into registry histograms as the workload runs;
-//
-//   * export-on-dump — every layer already keeps an authoritative stats
-//     struct (core::PerseasStats, netram::NetworkStats, disk::DiskStats,
-//     the WAL engines' stats).  Each layer's export_metrics() folds that
-//     struct into the registry right before serialization, so the registry
-//     and the stats structs cannot drift: the stats struct *is* the source
-//     of truth and the registry is a view.  Call export_metrics once per
-//     component instance per registry (counters accumulate across
-//     instances, e.g. one row per bench configuration).
-//
-// Like tracing, the registry charges no simulated time; instrumented hot
-// paths only touch it behind null checks.
+// Like tracing, the registry charges no simulated time.
 #pragma once
 
 #include <cstdint>
@@ -106,10 +100,9 @@ class MetricsRegistry {
   [[nodiscard]] Json to_json() const;
 
   /// Writes the registry to `path`: Prometheus text when the path ends in
-  /// ".prom" or ".txt", pretty JSON otherwise ("-" = JSON on stdout).
-  /// Parent directories are NOT created — the caller picks (and prepares)
-  /// the destination.  Throws std::runtime_error carrying the errno string
-  /// when the file cannot be opened or fully written.
+  /// ".prom" or ".txt", pretty JSON otherwise ("-" = JSON on stdout),
+  /// through obs::write_file, which throws std::runtime_error on any I/O
+  /// failure.
   void save(const std::string& path) const;
 
  private:

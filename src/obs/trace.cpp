@@ -1,14 +1,9 @@
 #include "obs/trace.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
-#include <stdexcept>
 
 #include "obs/json.hpp"
+#include "obs/output.hpp"
 
 namespace perseas::obs {
 
@@ -18,37 +13,10 @@ std::uint32_t TraceRecorder::register_track(std::string name) {
   return static_cast<std::uint32_t>(tracks_.size());
 }
 
-void TraceRecorder::set_thread_name(std::uint32_t track, std::uint32_t tid, std::string name) {
-  sync::LockGuard lock(mu_);
-  thread_names_.push_back(ThreadName{track, tid, std::move(name)});
-}
-
 void TraceRecorder::complete(std::uint32_t track, std::uint32_t tid, std::string_view cat,
-                             std::string_view name, sim::SimTime start, sim::SimDuration dur,
-                             Args args) {
-  TraceEvent e;
-  e.ph = 'X';
-  e.track = track;
-  e.tid = tid;
-  e.cat = cat;
-  e.name = name;
-  e.ts = start;
-  e.dur = dur;
-  e.args.assign(args.begin(), args.end());
-  sync::LockGuard lock(mu_);
-  events_.push_back(std::move(e));
-}
-
-void TraceRecorder::instant(std::uint32_t track, std::uint32_t tid, std::string_view cat,
-                            std::string_view name, sim::SimTime ts, Args args) {
-  TraceEvent e;
-  e.ph = 'i';
-  e.track = track;
-  e.tid = tid;
-  e.cat = cat;
-  e.name = name;
-  e.ts = ts;
-  e.args.assign(args.begin(), args.end());
+                             std::string_view name, std::uint64_t txn, sim::SimTime start,
+                             sim::SimDuration dur) {
+  TraceEvent e{track, tid, std::string(cat), std::string(name), txn, start, dur};
   sync::LockGuard lock(mu_);
   events_.push_back(std::move(e));
 }
@@ -56,7 +24,6 @@ void TraceRecorder::instant(std::uint32_t track, std::uint32_t tid, std::string_
 void TraceRecorder::clear() {
   sync::LockGuard lock(mu_);
   tracks_.clear();
-  thread_names_.clear();
   events_.clear();
 }
 
@@ -72,7 +39,7 @@ void append_us(std::string& out, sim::SimTime ns_value) {
 
 }  // namespace
 
-void TraceRecorder::write_json(std::ostream& out) const {
+std::string TraceRecorder::to_json() const {
   sync::LockGuard lock(mu_);
   std::string buf;
   buf += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
@@ -86,64 +53,22 @@ void TraceRecorder::write_json(std::ostream& out) const {
     buf += "{\"ph\":\"M\",\"pid\":" + std::to_string(i + 1) +
            ",\"name\":\"process_name\",\"args\":{\"name\":" + Json::escape(tracks_[i]) + "}}";
   }
-  for (const auto& t : thread_names_) {
-    sep();
-    buf += "{\"ph\":\"M\",\"pid\":" + std::to_string(t.track) +
-           ",\"tid\":" + std::to_string(t.tid) +
-           ",\"name\":\"thread_name\",\"args\":{\"name\":" + Json::escape(t.name) + "}}";
-  }
   for (const auto& e : events_) {
     sep();
-    buf += "{\"ph\":\"";
-    buf += e.ph;
-    buf += "\",\"pid\":" + std::to_string(e.track) + ",\"tid\":" + std::to_string(e.tid) +
-           ",\"cat\":" + Json::escape(e.cat) + ",\"name\":" + Json::escape(e.name) + ",\"ts\":";
+    buf += "{\"ph\":\"X\",\"pid\":" + std::to_string(e.track) +
+           ",\"tid\":" + std::to_string(e.tid) + ",\"cat\":" + Json::escape(e.cat) +
+           ",\"name\":" + Json::escape(e.name) + ",\"ts\":";
     append_us(buf, e.ts);
-    if (e.ph == 'X') {
-      buf += ",\"dur\":";
-      append_us(buf, e.dur);
-    }
-    if (e.ph == 'i') buf += ",\"s\":\"t\"";  // instant scope: thread
-    if (!e.args.empty()) {
-      buf += ",\"args\":{";
-      bool first_arg = true;
-      for (const auto& a : e.args) {
-        if (!first_arg) buf += ',';
-        first_arg = false;
-        buf += Json::escape(a.key) + ":" + std::to_string(a.value);
-      }
-      buf += '}';
-    }
-    buf += '}';
+    buf += ",\"dur\":";
+    append_us(buf, e.dur);
+    buf += ",\"args\":{\"txn\":" + std::to_string(e.txn) + "}}";
   }
   buf += "\n]}\n";
-  out << buf;
-}
-
-std::string TraceRecorder::to_json() const {
-  std::ostringstream out;
-  write_json(out);
-  return out.str();
+  return buf;
 }
 
 void TraceRecorder::save(const std::string& path) const {
-  if (path == "-") {
-    write_json(std::cout);
-    return;
-  }
-  errno = 0;
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("TraceRecorder::save: cannot open '" + path +
-                             "': " + std::strerror(errno) +
-                             " (parent directories are not created)");
-  }
-  write_json(out);
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("TraceRecorder::save: write to '" + path +
-                             "' failed: " + std::strerror(errno));
-  }
+  write_file("TraceRecorder::save", path, to_json());
 }
 
 }  // namespace perseas::obs

@@ -1,27 +1,23 @@
-// Span/event tracing keyed to simulated time.
+// Span tracing keyed to simulated time.
 //
-// TraceRecorder is a passive event store: instrumented components (the
-// cluster's SCI data movers, the disk model, the WAL engines, and the
-// obs::TxnTracer transaction observer) append events stamped with the
-// SimTime the cost model charged, and the recorder serializes them as
-// Chrome/Perfetto trace-event JSON.  Open the file at https://ui.perfetto.dev
-// (or chrome://tracing) to see where inside one transaction the simulated
-// microseconds went, across every layer, with engines/runs on separate
-// process tracks.
+// TraceRecorder is a passive span store.  Its one producer is
+// obs::ScopedCost: when a recorder is attached to a cluster
+// (netram::Cluster::set_trace), every cost scope that closes appends one
+// complete span — name = the scope's phase, category = its layer, lane =
+// the worker that ran it — stamped with the SimTime the cost model
+// charged.  The recorder serializes them as Chrome/Perfetto trace-event
+// JSON.  Open the file at https://ui.perfetto.dev (or chrome://tracing) to
+// see where inside one transaction the simulated microseconds went, with
+// clusters/runs on separate process tracks and workers on separate lanes.
 //
 // Contract (mirrors check::TxnValidator): recording charges no simulated
-// time and generates no simulated traffic.  Every instrumentation point in
-// library code is guarded by a null check, so a run without a recorder is
-// bit-for-bit identical to one before this subsystem existed — both in
-// simulated cost and in wall-clock hot-path work.
+// time and generates no simulated traffic, and with no recorder attached a
+// scope pays only a null check.
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
-#include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/sync.hpp"
@@ -29,52 +25,34 @@
 
 namespace perseas::obs {
 
-/// One key/value pair attached to a trace event (values are 64-bit
-/// unsigned: ids, offsets, byte and packet counts).
-struct TraceArg {
-  std::string key;
-  std::uint64_t value = 0;
-};
-
-/// One recorded event.  `ph` follows the Chrome trace-event phase codes the
-/// exporter emits: 'X' complete (span with duration), 'i' instant.
+/// One recorded span: [ts, ts + dur) of simulated time.
 struct TraceEvent {
-  char ph = 'X';
-  std::uint32_t track = 0;  ///< Perfetto pid: one lane group per engine/run
-  std::uint32_t tid = 0;    ///< Perfetto tid: the simulated node
-  std::string cat;
-  std::string name;
+  std::uint32_t track = 0;  ///< Perfetto pid: one lane group per cluster/run
+  std::uint32_t tid = 0;    ///< Perfetto tid: sim::current_worker_id() (0 = main)
+  std::string cat;          ///< the scope's layer
+  std::string name;         ///< the scope's phase
+  std::uint64_t txn = 0;    ///< the scope's transaction (0 = not transaction-scoped)
   sim::SimTime ts = 0;      ///< ns of simulated time
-  sim::SimDuration dur = 0; ///< ns; meaningful for 'X' only
-  std::vector<TraceArg> args;
+  sim::SimDuration dur = 0; ///< ns
 };
 
 class TraceRecorder {
  public:
-  using Args = std::initializer_list<TraceArg>;
-
   TraceRecorder() = default;
 
   /// Registers a named track (a Perfetto "process" lane group), e.g. one
-  /// per engine or per bench run.  Returns the track id to pass to the
-  /// event calls.
+  /// per cluster or per bench run.  Returns the track id to attach with.
   std::uint32_t register_track(std::string name);
 
-  /// Names a thread lane within a track (conventionally "node-<id>").
-  void set_thread_name(std::uint32_t track, std::uint32_t tid, std::string name);
-
-  /// Records a completed span: [start, start + dur) of simulated time.
+  /// Records a completed span (obs::ScopedCost calls this as it closes).
   void complete(std::uint32_t track, std::uint32_t tid, std::string_view cat,
-                std::string_view name, sim::SimTime start, sim::SimDuration dur,
-                Args args = {});
+                std::string_view name, std::uint64_t txn, sim::SimTime start,
+                sim::SimDuration dur);
 
-  /// Records an instantaneous event at `ts`.
-  void instant(std::uint32_t track, std::uint32_t tid, std::string_view cat,
-               std::string_view name, sim::SimTime ts, Args args = {});
-
-  /// The recorded events, in append order.  Only for after-the-run readers
-  /// (exporters, tests): the reference bypasses mu_, so reading it while
-  /// instrumented code is still appending is a race by contract.
+  /// The recorded spans, in close order (children before their parent).
+  /// Only for after-the-run readers (exporters, tests): the reference
+  /// bypasses mu_, so reading it while instrumented code is still
+  /// appending is a race by contract.
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
     sync::LockGuard lock(mu_);
     return events_;
@@ -90,27 +68,17 @@ class TraceRecorder {
 
   void clear();
 
-  /// Serializes the whole trace as Chrome/Perfetto trace-event JSON
+  /// The whole trace as Chrome/Perfetto trace-event JSON
   /// ({"traceEvents": [...]}; ts/dur in microseconds).
-  void write_json(std::ostream& out) const;
   [[nodiscard]] std::string to_json() const;
 
-  /// Writes the JSON to `path` ("-" = stdout).  Parent directories are NOT
-  /// created — the caller picks (and prepares) the destination.  Throws
-  /// std::runtime_error carrying the errno string when the file cannot be
-  /// opened or fully written.
+  /// Writes to_json() to `path` ("-" = stdout) through obs::write_file,
+  /// which throws std::runtime_error on any I/O failure.
   void save(const std::string& path) const;
 
  private:
-  struct ThreadName {
-    std::uint32_t track = 0;
-    std::uint32_t tid = 0;
-    std::string name;
-  };
-
   mutable sync::Mutex mu_;
   std::vector<std::string> tracks_ PERSEAS_GUARDED_BY(mu_);  // index + 1 == track id
-  std::vector<ThreadName> thread_names_ PERSEAS_GUARDED_BY(mu_);
   std::vector<TraceEvent> events_ PERSEAS_GUARDED_BY(mu_);
 };
 

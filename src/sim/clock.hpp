@@ -250,10 +250,6 @@ class StopWatch {
     return n >= start_ ? n - start_ : 0;
   }
 
-  /// The simulated instant the watch was (re)started; with elapsed() this
-  /// is exactly a trace span's [start, start + dur).
-  [[nodiscard]] SimTime start() const noexcept { return start_; }
-
   void restart() noexcept { start_ = clock_->now(); }
 
  private:

@@ -84,26 +84,4 @@ class Rng {
   std::uint64_t s_[4]{};
 };
 
-/// Zipf-distributed integers in [0, n), with skew parameter `theta` in
-/// (0, 1); theta -> 0 approaches uniform.  Uses the Gray et al. method from
-/// "Quickly Generating Billion-Record Synthetic Databases" (the standard
-/// generator for TPC-like skewed access).
-class ZipfGenerator {
- public:
-  ZipfGenerator(std::uint64_t n, double theta);
-
-  std::uint64_t next(Rng& rng) noexcept;
-
-  [[nodiscard]] std::uint64_t n() const noexcept { return n_; }
-  [[nodiscard]] double theta() const noexcept { return theta_; }
-
- private:
-  std::uint64_t n_;
-  double theta_;
-  double alpha_;
-  double zetan_;
-  double eta_;
-  double zeta2_;
-};
-
 }  // namespace perseas::sim

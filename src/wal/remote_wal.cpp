@@ -5,7 +5,6 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace perseas::wal {
 
@@ -34,6 +33,7 @@ RemoteWal::RemoteWal(netram::Cluster& cluster, netram::NodeId local,
 }
 
 void RemoteWal::begin_transaction() {
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_ + 1, "begin", "wal", "cpu");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_begin);
   if (in_txn_) throw std::logic_error("RemoteWal: transaction already active");
   in_txn_ = true;
@@ -42,7 +42,7 @@ void RemoteWal::begin_transaction() {
 }
 
 void RemoteWal::set_range(std::uint64_t offset, std::uint64_t size) {
-  const sim::StopWatch watch(cluster_->clock());
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_, "set_range", "wal", "cpu");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_set_range);
   if (!in_txn_) throw std::logic_error("RemoteWal: set_range outside a transaction");
   if (offset + size > db_.size() || offset + size < offset) {
@@ -54,15 +54,10 @@ void RemoteWal::set_range(std::uint64_t offset, std::uint64_t size) {
                   db_.begin() + static_cast<std::ptrdiff_t>(offset + size));
   cluster_->charge_local_memcpy(local_, size);
   undo_.push_back(std::move(e));
-  if (trace_ != nullptr) {
-    trace_->complete(trace_track_, static_cast<std::uint32_t>(local_), "txn",
-                     "rwal.set_range", watch.start(), watch.elapsed(),
-                     {{"txn", txn_counter_}, {"offset", offset}, {"bytes", size}});
-  }
 }
 
 void RemoteWal::commit_transaction() {
-  const sim::StopWatch watch(cluster_->clock());
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_, "commit", "wal", "cpu");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_commit);
   if (!in_txn_) throw std::logic_error("RemoteWal: commit outside a transaction");
 
@@ -111,14 +106,10 @@ void RemoteWal::commit_transaction() {
   undo_.clear();
   in_txn_ = false;
   ++stats_.commits;
-  if (trace_ != nullptr) {
-    trace_->complete(trace_track_, static_cast<std::uint32_t>(local_), "txn", "rwal.commit",
-                     watch.start(), watch.elapsed(),
-                     {{"txn", txn_counter_}, {"bytes", record_bytes}});
-  }
 }
 
 void RemoteWal::truncate() {
+  const obs::ScopedCost scope(cluster_->sinks(), 0, "truncate", "wal", "log");
   if (!disk_chunk_.empty()) {
     disk_->async_write(disk_log_offset_, disk_chunk_.size());
     disk_log_offset_ += disk_chunk_.size();
@@ -136,6 +127,7 @@ void RemoteWal::truncate() {
 }
 
 void RemoteWal::abort_transaction() {
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_, "abort", "wal", "local");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_abort);
   if (!in_txn_) throw std::logic_error("RemoteWal: abort outside a transaction");
   std::uint64_t bytes = 0;
@@ -150,6 +142,7 @@ void RemoteWal::abort_transaction() {
 }
 
 std::uint64_t RemoteWal::recover() {
+  const obs::ScopedCost scope(cluster_->sinks(), 0, "recover", "wal", "cpu");
   in_txn_ = false;
   undo_.clear();
   std::vector<std::byte> log(options_.log_capacity);
@@ -168,11 +161,6 @@ std::uint64_t RemoteWal::recover() {
   }
   log_used_ = pos;
   return applied;
-}
-
-void RemoteWal::set_trace(obs::TraceRecorder* trace, std::uint32_t track) {
-  trace_ = trace;
-  trace_track_ = track;
 }
 
 void RemoteWal::export_metrics(obs::MetricsRegistry& reg, std::string_view label) const {

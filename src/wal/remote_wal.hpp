@@ -21,7 +21,6 @@
 #include "wal/log_format.hpp"
 
 namespace perseas::obs {
-class TraceRecorder;
 class MetricsRegistry;
 }  // namespace perseas::obs
 
@@ -67,9 +66,6 @@ class RemoteWal {
 
   [[nodiscard]] const RemoteWalStats& stats() const noexcept { return stats_; }
 
-  /// Attaches a trace recorder (nullptr detaches): set_range / commit emit
-  /// rwal.* spans on `track` (lane = this engine's node).
-  void set_trace(obs::TraceRecorder* trace, std::uint32_t track);
   /// Folds RemoteWalStats into `reg` as wal_* metrics, engine=`label`.
   void export_metrics(obs::MetricsRegistry& reg, std::string_view label) const;
 
@@ -98,8 +94,6 @@ class RemoteWal {
   std::vector<std::byte> disk_chunk_;  // records not yet handed to the disk
 
   RemoteWalStats stats_;
-  obs::TraceRecorder* trace_ = nullptr;  // not owned; null = tracing off
-  std::uint32_t trace_track_ = 0;
 };
 
 }  // namespace perseas::wal

@@ -6,7 +6,6 @@
 
 #include "core/failure_points.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace perseas::wal {
 
@@ -41,6 +40,7 @@ Rvm::Rvm(netram::Cluster& cluster, netram::NodeId node, disk::StableStore& store
 }
 
 void Rvm::begin_transaction() {
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_ + 1, "begin", "wal", "cpu");
   cluster_->charge_cpu(node_, cluster_->profile().library.txn_begin);
   if (in_txn_) throw std::logic_error("Rvm: transaction already active");
   in_txn_ = true;
@@ -49,7 +49,7 @@ void Rvm::begin_transaction() {
 }
 
 void Rvm::set_range(std::uint64_t offset, std::uint64_t size) {
-  const sim::StopWatch watch(cluster_->clock());
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_, "set_range", "wal", "cpu");
   cluster_->charge_cpu(node_, cluster_->profile().library.txn_set_range);
   if (!in_txn_) throw std::logic_error("Rvm: set_range outside a transaction");
   if (offset + size > db_.size() || offset + size < offset) {
@@ -62,15 +62,10 @@ void Rvm::set_range(std::uint64_t offset, std::uint64_t size) {
   cluster_->charge_local_memcpy(node_, size);  // copy 1 of figure 2
   undo_.push_back(std::move(e));
   cluster_->failures().notify(kAfterUndo);
-  if (trace_ != nullptr) {
-    trace_->complete(trace_track_, static_cast<std::uint32_t>(node_), "txn", "rvm.set_range",
-                     watch.start(), watch.elapsed(),
-                     {{"txn", txn_counter_}, {"offset", offset}, {"bytes", size}});
-  }
 }
 
 void Rvm::commit_transaction() {
-  const sim::StopWatch watch(cluster_->clock());
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_, "commit", "wal", "cpu");
   cluster_->charge_cpu(node_, cluster_->profile().library.txn_commit);
   if (!in_txn_) throw std::logic_error("Rvm: commit outside a transaction");
 
@@ -97,10 +92,6 @@ void Rvm::commit_transaction() {
 
   if (++group_pending_ >= options_.group_commit_size) force_group();
   cluster_->failures().notify(kCommitDone);
-  if (trace_ != nullptr) {
-    trace_->complete(trace_track_, static_cast<std::uint32_t>(node_), "txn", "rvm.commit",
-                     watch.start(), watch.elapsed(), {{"txn", txn_counter_}, {"bytes", bytes}});
-  }
 }
 
 void Rvm::force_group() {
@@ -141,8 +132,7 @@ void Rvm::mark_dirty(std::uint64_t offset, std::uint64_t size) {
 
 void Rvm::maybe_truncate() {
   if (dirty_pages_.empty() && log_used_ == 0) return;
-  const sim::StopWatch watch(cluster_->clock());
-  const std::uint64_t pages = dirty_pages_.size();
+  const obs::ScopedCost scope(cluster_->sinks(), 0, "truncate", "wal", "log");
   // Copy 3 of figure 2: propagate committed after-images to the stable
   // database image, coalesced to whole pages (real RVM's truncation applies
   // the log at page granularity).  These writes are not latency critical,
@@ -174,13 +164,10 @@ void Rvm::maybe_truncate() {
   log_used_ = 0;
   ++stats_.truncations;
   cluster_->failures().notify(kTruncateDone);
-  if (trace_ != nullptr) {
-    trace_->complete(trace_track_, static_cast<std::uint32_t>(node_), "txn", "rvm.truncate",
-                     watch.start(), watch.elapsed(), {{"pages", pages}});
-  }
 }
 
 void Rvm::abort_transaction() {
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_, "abort", "wal", "local");
   cluster_->charge_cpu(node_, cluster_->profile().library.txn_abort);
   if (!in_txn_) throw std::logic_error("Rvm: abort outside a transaction");
   std::uint64_t bytes = 0;
@@ -195,6 +182,7 @@ void Rvm::abort_transaction() {
 }
 
 std::uint64_t Rvm::recover() {
+  const obs::ScopedCost scope(cluster_->sinks(), 0, "recover", "wal", "cpu");
   if (!store_->contents_survived()) {
     throw std::runtime_error("Rvm: stable store contents were lost; cannot recover");
   }
@@ -255,11 +243,6 @@ std::uint64_t Rvm::recover() {
   maybe_truncate();
   cluster_->failures().notify(kRecoverDone);
   return applied;
-}
-
-void Rvm::set_trace(obs::TraceRecorder* trace, std::uint32_t track) {
-  trace_ = trace;
-  trace_track_ = track;
 }
 
 void Rvm::export_metrics(obs::MetricsRegistry& reg, std::string_view label) const {

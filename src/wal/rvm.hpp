@@ -30,7 +30,6 @@
 #include "wal/log_format.hpp"
 
 namespace perseas::obs {
-class TraceRecorder;
 class MetricsRegistry;
 }  // namespace perseas::obs
 
@@ -87,9 +86,6 @@ class Rvm {
   [[nodiscard]] const RvmStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const RvmOptions& options() const noexcept { return options_; }
 
-  /// Attaches a trace recorder (nullptr detaches): set_range / commit /
-  /// truncation emit rvm.* spans on `track` (lane = this engine's node).
-  void set_trace(obs::TraceRecorder* trace, std::uint32_t track);
   /// Folds RvmStats into `reg` as rvm_* metrics, labelled engine=`label`.
   void export_metrics(obs::MetricsRegistry& reg, std::string_view label) const;
 
@@ -123,8 +119,6 @@ class Rvm {
   std::set<std::uint64_t> dirty_pages_;
 
   RvmStats stats_;
-  obs::TraceRecorder* trace_ = nullptr;  // not owned; null = tracing off
-  std::uint32_t trace_track_ = 0;
 };
 
 }  // namespace perseas::wal

@@ -6,7 +6,6 @@
 
 #include "core/failure_points.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace perseas::wal {
 
@@ -49,6 +48,7 @@ Vista::UndoHeader Vista::read_undo_header() {
 }
 
 void Vista::begin_transaction() {
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_ + 1, "begin", "wal", "cpu");
   cluster_->charge_cpu(node_, cluster_->profile().library.txn_begin);
   if (in_txn_) throw std::logic_error("Vista: transaction already active");
   in_txn_ = true;
@@ -58,7 +58,7 @@ void Vista::begin_transaction() {
 }
 
 void Vista::set_range(std::uint64_t offset, std::uint64_t size) {
-  const sim::StopWatch watch(cluster_->clock());
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_, "set_range", "wal", "cpu");
   cluster_->charge_cpu(node_, options_.op_overhead);
   if (!in_txn_) throw std::logic_error("Vista: set_range outside a transaction");
   if (offset + size > options_.db_size || offset + size < offset) {
@@ -82,15 +82,10 @@ void Vista::set_range(std::uint64_t offset, std::uint64_t size) {
   cluster_->failures().notify(kAfterHeader);
   stats_.bytes_logged += size;
   ++stats_.set_ranges;
-  if (trace_ != nullptr) {
-    trace_->complete(trace_track_, static_cast<std::uint32_t>(node_), "txn", "vista.set_range",
-                     watch.start(), watch.elapsed(),
-                     {{"txn", txn_counter_}, {"offset", offset}, {"bytes", size}});
-  }
 }
 
 void Vista::commit_transaction() {
-  const sim::StopWatch watch(cluster_->clock());
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_, "commit", "wal", "cpu");
   cluster_->charge_cpu(node_, options_.op_overhead);
   if (!in_txn_) throw std::logic_error("Vista: commit outside a transaction");
   // The essence of Vista: the database is already durable, so committing is
@@ -100,13 +95,10 @@ void Vista::commit_transaction() {
   in_txn_ = false;
   ++stats_.commits;
   cluster_->failures().notify(kCommitDone);
-  if (trace_ != nullptr) {
-    trace_->complete(trace_track_, static_cast<std::uint32_t>(node_), "txn", "vista.commit",
-                     watch.start(), watch.elapsed(), {{"txn", txn_counter_}});
-  }
 }
 
 void Vista::abort_transaction() {
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_, "abort", "wal", "local");
   cluster_->charge_cpu(node_, options_.op_overhead);
   if (!in_txn_) throw std::logic_error("Vista: abort outside a transaction");
   recover();  // identical mechanics: apply the undo log
@@ -115,6 +107,7 @@ void Vista::abort_transaction() {
 }
 
 std::uint64_t Vista::recover() {
+  const obs::ScopedCost scope(cluster_->sinks(), 0, "recover", "wal", "cpu");
   rio_->sync_with_host();
   UndoHeader hdr = read_undo_header();  // throws if the cache was lost
 
@@ -139,11 +132,6 @@ std::uint64_t Vista::recover() {
   in_txn_ = false;
   cluster_->failures().notify(kRecoverDone);
   return hdr.entry_count;
-}
-
-void Vista::set_trace(obs::TraceRecorder* trace, std::uint32_t track) {
-  trace_ = trace;
-  trace_track_ = track;
 }
 
 void Vista::export_metrics(obs::MetricsRegistry& reg, std::string_view label) const {

@@ -20,7 +20,6 @@
 #include "rio/rio_cache.hpp"
 
 namespace perseas::obs {
-class TraceRecorder;
 class MetricsRegistry;
 }  // namespace perseas::obs
 
@@ -64,9 +63,6 @@ class Vista {
 
   [[nodiscard]] const VistaStats& stats() const noexcept { return stats_; }
 
-  /// Attaches a trace recorder (nullptr detaches): set_range / commit emit
-  /// vista.* spans on `track` (lane = this engine's node).
-  void set_trace(obs::TraceRecorder* trace, std::uint32_t track);
   /// Folds VistaStats into `reg` as wal_* metrics, labelled engine=`label`.
   void export_metrics(obs::MetricsRegistry& reg, std::string_view label) const;
 
@@ -91,8 +87,6 @@ class Vista {
   std::uint32_t undo_region_;
   bool in_txn_ = false;
   VistaStats stats_;
-  obs::TraceRecorder* trace_ = nullptr;  // not owned; null = tracing off
-  std::uint32_t trace_track_ = 0;
   std::uint64_t txn_counter_ = 0;
 };
 

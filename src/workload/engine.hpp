@@ -12,7 +12,6 @@
 #include "netram/cluster.hpp"
 
 namespace perseas::obs {
-class TraceRecorder;
 class MetricsRegistry;
 }  // namespace perseas::obs
 
@@ -75,10 +74,6 @@ class TxnEngine {
     abort();
   }
 
-  /// Attaches a trace recorder to the engine's own span emitters (nullptr
-  /// detaches).  Engines without internal instrumentation ignore the call;
-  /// PERSEAS is instead traced via PerseasConfig::trace at construction.
-  virtual void set_trace(obs::TraceRecorder* /*trace*/, std::uint32_t /*track*/) {}
   /// Folds the engine's own counters into `reg`.  Default: nothing.
   virtual void export_metrics(obs::MetricsRegistry& /*reg*/) const {}
 

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/trace.hpp"
+
 namespace perseas::workload {
 
 PerseasEngine::PerseasEngine(netram::Cluster& cluster, netram::NodeId local,
@@ -94,8 +96,7 @@ EngineLab::EngineLab(EngineKind kind, const LabOptions& options) : kind_(kind) {
   if (options.trace != nullptr) {
     const std::string label =
         options.trace_label.empty() ? std::string(to_string(kind)) : options.trace_label;
-    trace_track_ = options.trace->register_track(label);
-    cluster_->set_trace(options.trace, trace_track_);
+    cluster_->set_trace(options.trace, options.trace->register_track(label));
   }
 
   const netram::NodeId app = 0;
@@ -104,13 +105,9 @@ EngineLab::EngineLab(EngineKind kind, const LabOptions& options) : kind_(kind) {
   switch (kind) {
     case EngineKind::kPerseas: {
       server_ = std::make_unique<netram::RemoteMemoryServer>(*cluster_, remote);
-      core::PerseasConfig pc = options.perseas;
-      if (pc.trace == nullptr) pc.trace = options.trace;
-      if (pc.metrics == nullptr) pc.metrics = options.metrics;
-      if (pc.trace_track == 0) pc.trace_track = trace_track_;
       engine_ = std::make_unique<PerseasEngine>(*cluster_, app,
                                                 std::vector{server_.get()}, options.db_size,
-                                                std::move(pc));
+                                                options.perseas);
       break;
     }
     case EngineKind::kVista: {
@@ -169,11 +166,6 @@ EngineLab::EngineLab(EngineKind kind, const LabOptions& options) : kind_(kind) {
     }
   }
   if (!engine_) throw std::logic_error("EngineLab: unknown engine kind");
-
-  if (options.trace != nullptr) {
-    if (disk_) disk_->set_trace(options.trace, trace_track_, app);
-    engine_->set_trace(options.trace, trace_track_);
-  }
 }
 
 void EngineLab::export_metrics(obs::MetricsRegistry& reg) const {

@@ -58,8 +58,6 @@ class PerseasEngine final : public TxnEngine {
   void commit_slot(std::uint32_t slot) override;
   void abort_slot(std::uint32_t slot) override;
 
-  // PERSEAS is traced via PerseasConfig::trace (observer installed at
-  // construction), so set_trace stays the no-op default here.
   void export_metrics(obs::MetricsRegistry& reg) const override { db_.export_metrics(reg); }
 
   [[nodiscard]] core::Perseas& perseas() noexcept { return db_; }
@@ -95,9 +93,6 @@ class RvmEngine final : public TxnEngine {
   void commit() override { rvm_.commit_transaction(); }
   void abort() override { rvm_.abort_transaction(); }
 
-  void set_trace(obs::TraceRecorder* trace, std::uint32_t track) override {
-    rvm_.set_trace(trace, track);
-  }
   void export_metrics(obs::MetricsRegistry& reg) const override {
     rvm_.export_metrics(reg, name_);
   }
@@ -129,9 +124,6 @@ class VistaEngine final : public TxnEngine {
   void commit() override { vista_.commit_transaction(); }
   void abort() override { vista_.abort_transaction(); }
 
-  void set_trace(obs::TraceRecorder* trace, std::uint32_t track) override {
-    vista_.set_trace(trace, track);
-  }
   void export_metrics(obs::MetricsRegistry& reg) const override {
     vista_.export_metrics(reg, name());
   }
@@ -163,9 +155,6 @@ class RemoteWalEngine final : public TxnEngine {
   void commit() override { wal_.commit_transaction(); }
   void abort() override { wal_.abort_transaction(); }
 
-  void set_trace(obs::TraceRecorder* trace, std::uint32_t track) override {
-    wal_.set_trace(trace, track);
-  }
   void export_metrics(obs::MetricsRegistry& reg) const override {
     wal_.export_metrics(reg, name());
   }
@@ -232,12 +221,10 @@ struct LabOptions {
   std::uint64_t log_capacity = 8 << 20;
   std::uint64_t arena_bytes_per_node = 64ull << 20;
 
-  /// Observability (both optional, not owned).  When `trace` is set the lab
-  /// registers one track for the whole fixture, wires the cluster, the disk
-  /// (if any), and the engine's own span emitters to it, and routes
-  /// PerseasConfig::trace/metrics through it for the PERSEAS engine.
+  /// Optional, not owned: the lab registers one track for the whole
+  /// fixture and attaches the recorder to its cluster, so every cost scope
+  /// of the engine records a span there.
   obs::TraceRecorder* trace = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
   /// Track name; defaults to the engine kind's name.
   std::string trace_label;
 };
@@ -252,8 +239,6 @@ class EngineLab {
   [[nodiscard]] TxnEngine& engine() noexcept { return *engine_; }
   [[nodiscard]] netram::Cluster& cluster() noexcept { return *cluster_; }
   [[nodiscard]] EngineKind kind() const noexcept { return kind_; }
-  /// The trace track the lab registered, or 0 when tracing is off.
-  [[nodiscard]] std::uint32_t trace_track() const noexcept { return trace_track_; }
 
   /// Folds every layer's counters into `reg`: cluster, disk (if present),
   /// and the engine itself.  Call once per registry after the workload.
@@ -261,7 +246,6 @@ class EngineLab {
 
  private:
   EngineKind kind_;
-  std::uint32_t trace_track_ = 0;
   std::unique_ptr<netram::Cluster> cluster_;
   std::unique_ptr<netram::RemoteMemoryServer> server_;
   std::unique_ptr<disk::DiskModel> disk_;

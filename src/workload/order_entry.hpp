@@ -11,6 +11,7 @@
 #include "sim/random.hpp"
 #include "workload/engine.hpp"
 #include "workload/synthetic.hpp"  // WorkloadResult
+#include "workload/zipf.hpp"
 
 namespace perseas::workload {
 
@@ -98,7 +99,7 @@ class OrderEntry {
   TxnEngine* engine_;
   OrderEntryOptions options_;
   sim::Rng rng_;
-  sim::ZipfGenerator item_picker_;
+  FastZipf item_picker_;
   std::uint64_t orders_placed_ = 0;
   std::int64_t total_quantity_ = 0;
 };

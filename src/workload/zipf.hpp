@@ -1,14 +1,15 @@
-// Skewed row selection for the contention workloads: a Zipf sampler whose
-// expensive normalisation constant is computed once and shared.
+// The repository's one Zipf sampler (Gray et al., "Quickly Generating
+// Billion-Record Synthetic Databases" — the standard generator for TPC-like
+// skewed access): order-entry's item picker and the contention workloads'
+// row selection.
 //
-// sim::ZipfGenerator (Gray et al.) pays an O(n) harmonic sum *per
-// instance*, which is fine for one generator but not for a bench sweeping
-// policy x theta x threads where every worker wants its own sampler over
-// the same row space.  FastZipf splits the construction: zipf_zeta(n,
-// theta) computes the sum once, and every FastZipf over the same (n,
-// theta) reuses it, making per-worker samplers O(1) to build.  It also
-// admits theta == 0 (exactly uniform), so one code path sweeps from
-// no-skew to hot-spot workloads.
+// The recurrence needs an O(n) harmonic sum, which is fine for one
+// generator but not for a bench sweeping policy x theta x threads where
+// every worker wants its own sampler over the same row space.  FastZipf
+// splits the construction: zipf_zeta(n, theta) computes the sum once, and
+// every FastZipf over the same (n, theta) reuses it, making per-worker
+// samplers O(1) to build.  It also admits theta == 0 (exactly uniform), so
+// one code path sweeps from no-skew to hot-spot workloads.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +25,7 @@ namespace perseas::workload {
 
 /// Zipf-distributed integers in [0, n) with skew theta in [0, 1): rank 0
 /// is the hottest row.  theta == 0 is exactly uniform; theta -> 1
-/// approaches the classic 80/20 hot spot and beyond.  Same Gray et al.
-/// recurrence as sim::ZipfGenerator, so for theta in (0, 1) the two
-/// produce identical values from identical Rng streams.
+/// approaches the classic 80/20 hot spot and beyond.
 class FastZipf {
  public:
   /// Convenience: computes the normalisation constant itself (O(n)).

@@ -207,7 +207,7 @@ TEST(CostLedgerReset, LiveScopeKeepsAttributingAfterReset) {
   sim::SimClock clock;
   CostLedger ledger;
   clock.set_observer(&ledger);
-  ScopedCost scope(&ledger, 7, "phase", "test", "-");
+  const ScopedCost scope(CostSinks{&ledger, nullptr, 0, &clock}, 7, "phase", "test", "-");
   clock.advance(10);
   clock.reset();
   clock.advance(5);
@@ -265,8 +265,11 @@ TEST(CostLedgerWorkers, ConcurrentChargesLandInTheChargingThreadsScope) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&clock, &ledger, t] {
       sim::ThreadClock tc(clock, static_cast<std::uint32_t>(t) + 1);
-      ScopedCost scope(&ledger, static_cast<std::uint64_t>(t) + 1,
-                       "w" + std::to_string(t), "test", "-");
+      // The scope keeps a view of its phase until it closes: the name must
+      // outlive it (a temporary would dangle once a trace is attached).
+      const std::string phase = "w" + std::to_string(t);
+      const ScopedCost scope(CostSinks{&ledger, nullptr, 0, &clock},
+                             static_cast<std::uint64_t>(t) + 1, phase, "test", "-");
       for (int i = 0; i < kCharges; ++i) {
         clock.advance(t + 1);  // worker t charges (t+1) ns per op
         if (i % 50 == 49) tc.merge();

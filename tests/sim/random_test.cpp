@@ -93,59 +93,5 @@ TEST(Rng, ChanceMatchesProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.01);
 }
 
-TEST(Zipf, StaysInRange) {
-  Rng rng(19);
-  ZipfGenerator zipf(100, 0.8);
-  for (int i = 0; i < 10'000; ++i) EXPECT_LT(zipf.next(rng), 100u);
-}
-
-TEST(Zipf, IsSkewedTowardLowRanks) {
-  Rng rng(23);
-  ZipfGenerator zipf(1000, 0.8);
-  constexpr int kN = 100'000;
-  int head = 0;  // draws landing in the first 1% of items
-  for (int i = 0; i < kN; ++i) head += zipf.next(rng) < 10;
-  // With theta=0.8 the head is vastly overrepresented vs uniform's 1%.
-  EXPECT_GT(head, kN / 10);
-}
-
-TEST(Zipf, LowerThetaIsLessSkewed) {
-  Rng rng(29);
-  ZipfGenerator mild(1000, 0.2);
-  ZipfGenerator steep(1000, 0.9);
-  constexpr int kN = 50'000;
-  int mild_head = 0;
-  int steep_head = 0;
-  for (int i = 0; i < kN; ++i) {
-    mild_head += mild.next(rng) < 10;
-    steep_head += steep.next(rng) < 10;
-  }
-  EXPECT_LT(mild_head, steep_head);
-}
-
-// Parameterized distribution sweep: every (n, theta) must cover both the
-// head and some of the tail.
-class ZipfSweep : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
-
-TEST_P(ZipfSweep, CoversHeadAndTail) {
-  const auto [n, theta] = GetParam();
-  Rng rng(31);
-  ZipfGenerator zipf(n, theta);
-  bool saw_zero = false;
-  std::uint64_t max_seen = 0;
-  for (int i = 0; i < 20'000; ++i) {
-    const auto v = zipf.next(rng);
-    ASSERT_LT(v, n);
-    saw_zero |= v == 0;
-    max_seen = std::max(max_seen, v);
-  }
-  EXPECT_TRUE(saw_zero);
-  EXPECT_GT(max_seen, n / 4) << "tail never sampled";
-}
-
-INSTANTIATE_TEST_SUITE_P(Distributions, ZipfSweep,
-                         ::testing::Combine(::testing::Values(10ULL, 100ULL, 10'000ULL),
-                                            ::testing::Values(0.1, 0.5, 0.8, 0.99)));
-
 }  // namespace
 }  // namespace perseas::sim

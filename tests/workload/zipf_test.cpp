@@ -1,10 +1,12 @@
-// workload::FastZipf: analytic-frequency checks, the theta = 0 uniform
-// degeneration, exact parity with sim::ZipfGenerator on the shared
-// (0, 1) theta range, and the shared-normalisation-constant constructor.
+// workload::FastZipf: analytic-frequency checks, relative skew, a head and
+// tail sweep over (n, theta), the theta = 0 uniform degeneration, and the
+// shared-normalisation-constant constructor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -75,19 +77,43 @@ TEST(FastZipf, ThetaZeroFrequenciesAreFlat) {
   }
 }
 
-TEST(FastZipf, MatchesSimZipfGeneratorDrawForDraw) {
-  // Same recurrence, same constants: identical Rng streams must produce
-  // identical values on the theta range both generators support.
-  for (const double theta : {0.2, 0.5, 0.8, 0.99}) {
-    sim::Rng a(47);
-    sim::Rng b(47);
-    const FastZipf fast(1000, theta);
-    sim::ZipfGenerator classic(1000, theta);
-    for (int i = 0; i < 5'000; ++i) {
-      ASSERT_EQ(fast.next(a), classic.next(b)) << "diverged at theta " << theta;
-    }
+TEST(FastZipf, LowerThetaIsLessSkewed) {
+  sim::Rng rng(29);
+  const FastZipf mild(1000, 0.2);
+  const FastZipf steep(1000, 0.9);
+  constexpr int kN = 50'000;
+  int mild_head = 0;
+  int steep_head = 0;
+  for (int i = 0; i < kN; ++i) {
+    mild_head += mild.next(rng) < 10;
+    steep_head += steep.next(rng) < 10;
   }
+  EXPECT_LT(mild_head, steep_head);
 }
+
+// Parameterized distribution sweep: every (n, theta) must cover both the
+// head and some of the tail.
+class ZipfSweep : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
+
+TEST_P(ZipfSweep, CoversHeadAndTail) {
+  const auto [n, theta] = GetParam();
+  sim::Rng rng(31);
+  const FastZipf zipf(n, theta);
+  bool saw_zero = false;
+  std::uint64_t max_seen = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    const auto v = zipf.next(rng);
+    ASSERT_LT(v, n);
+    saw_zero |= v == 0;
+    max_seen = std::max(max_seen, v);
+  }
+  EXPECT_TRUE(saw_zero);
+  EXPECT_GT(max_seen, n / 4) << "tail never sampled";
+}
+
+INSTANTIATE_TEST_SUITE_P(Distributions, ZipfSweep,
+                         ::testing::Combine(::testing::Values(10ULL, 100ULL, 10'000ULL),
+                                            ::testing::Values(0.1, 0.5, 0.8, 0.99)));
 
 TEST(FastZipf, SharedZetanConstructorMatchesConvenienceConstructor) {
   const double zetan = zipf_zeta(512, 0.9);

@@ -22,11 +22,10 @@ contracts the linter cannot see (docs/ANALYSIS.md §8 defines each):
                              any function whose body reaches advance()
                              uncovered — is dominated by a live
                              obs::ScopedCost on the transaction-lifecycle
-                             entries.  Setup/teardown entries and the
-                             comparison engines are exempt by design:
-                             their charges land in the ledger's
-                             unattributed bucket, which the perf gate
-                             (BENCH_trend.json) pins bit-identical.
+                             entries of every engine (PERSEAS, RVM,
+                             Vista).  Only the PERSEAS setup/teardown
+                             entries are exempt: their charges land in
+                             the ledger's unattributed bucket by design.
   V3  point reachability     The static reachable notify set of each
                              engine's entry points covers every registry
                              row the engine owns (a statically unreachable
@@ -997,9 +996,9 @@ class CoverState:
 # --------------------------------------------------------------------------
 # The analysis proper.
 
-# Entry points: (qualname, protocol step, charge-scope required).  The
-# PERSEAS transaction lifecycle requires V2 coverage; setup/teardown and
-# the comparison engines are exempt (see the module docstring).
+# Entry points: (qualname, protocol step, charge-scope required).  Every
+# engine's transaction lifecycle requires V2 coverage; only the PERSEAS
+# setup/teardown entries are exempt (see the module docstring).
 ENTRIES = [
     ("Perseas::begin_transaction", "begin", True),
     ("Perseas::txn_set_range_impl", "set_range", True),
@@ -1010,16 +1009,16 @@ ENTRIES = [
     ("Perseas::init_remote_db", "setup", False),
     ("Perseas::shutdown", "setup", False),
     ("Perseas::rebuild_mirror", "rebuild", False),
-    ("Rvm::begin_transaction", "begin", False),
-    ("Rvm::set_range", "set_range", False),
-    ("Rvm::commit_transaction", "commit", False),
-    ("Rvm::abort_transaction", "abort", False),
-    ("Rvm::recover", "recover", False),
-    ("Vista::begin_transaction", "begin", False),
-    ("Vista::set_range", "set_range", False),
-    ("Vista::commit_transaction", "commit", False),
-    ("Vista::abort_transaction", "abort", False),
-    ("Vista::recover", "recover", False),
+    ("Rvm::begin_transaction", "begin", True),
+    ("Rvm::set_range", "set_range", True),
+    ("Rvm::commit_transaction", "commit", True),
+    ("Rvm::abort_transaction", "abort", True),
+    ("Rvm::recover", "recover", True),
+    ("Vista::begin_transaction", "begin", True),
+    ("Vista::set_range", "set_range", True),
+    ("Vista::commit_transaction", "commit", True),
+    ("Vista::abort_transaction", "abort", True),
+    ("Vista::recover", "recover", True),
 ]
 
 # V1b: registry phases an entry may notify directly.  Lazy-undo pushes
@@ -1393,7 +1392,7 @@ def analyze(tree, mc_docs=(), funcs=None, frontend="internal"):
 SEED_FILE = "src/core/perseas.cpp"
 SEED_BEFORE_CLEAR = "    cluster_->failures().notify(points::kBeforeFlagClear);\n"
 SEED_AFTER_CLEAR = "    cluster_->failures().notify(points::kAfterFlagClear);"
-SEED_SCOPE = ('  const obs::ScopedCost cost_scope(cluster_->ledger(), txn_id, '
+SEED_SCOPE = ('  const obs::ScopedCost cost_scope(cluster_->sinks(), txn_id, '
               '"commit", "core", "cpu");\n')
 
 
