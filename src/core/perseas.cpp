@@ -318,10 +318,9 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
       // time parked before retrying.  Charged under its own scope so the
       // ledger attributes the idleness to waiting, not to set_range work.
       const obs::ScopedCost wait_scope(cluster_->sinks(), txn_id, "cc_wait", "core", "cpu");
-      const sim::StopWatch wait_watch(cluster_->clock());
       cluster_->clock().wait(rejection->wait);
       ++stats_.cc_waits;
-      stats_.time_cc_wait += wait_watch.elapsed();
+      stats_.time_cc_wait += wait_scope.elapsed();
     }
     ++stats_.txns_conflicted;
     if (rejection->reason == AbortReason::kWounded) ++stats_.txns_wounded;
@@ -352,7 +351,6 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
   {
     const obs::ScopedCost local_scope(cluster_->sinks(), txn_id, "local_undo", "core",
                                       "local");
-    const sim::StopWatch local_watch(cluster_->clock());
     entries.reserve(fresh.size());
     std::uint64_t fresh_bytes = 0;
     for (const auto& r : fresh) {  // figure 3, step 1
@@ -368,7 +366,7 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
     if (config_.coalesce_ranges && fresh_bytes < size) {
       cluster_->flight().record(EventKind::kCoalesce, txn_id, record, size, fresh_bytes);
     }
-    stats_.time_local_undo += local_watch.elapsed();
+    stats_.time_local_undo += local_scope.elapsed();
     stats_.bytes_undo_local += fresh_bytes;
     stats_.bytes_dedup_undo += size - fresh_bytes;
   }
@@ -379,7 +377,6 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
   if (config_.eager_remote_undo && !entries.empty()) {
     const obs::ScopedCost remote_scope(cluster_->sinks(), txn_id, "remote_undo", "core",
                                        "undo");
-    const sim::StopWatch remote_watch(cluster_->clock());
     const auto open = open_contexts();
     for (auto& u : entries) {
       undo_log_.ensure_capacity(mirror_set_, undo_entry_bytes(u.before.size()), open);
@@ -389,7 +386,7 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
       ctx->undo().push_back(std::move(u));
       ctx->set_pushed_entries(ctx->undo().size());
     }
-    stats_.time_remote_undo += remote_watch.elapsed();
+    stats_.time_remote_undo += remote_scope.elapsed();
   } else {
     for (auto& u : entries) ctx->undo().push_back(std::move(u));
   }
@@ -439,9 +436,8 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
   {
     const obs::ScopedCost validate_scope(cluster_->sinks(), txn_id, "validate", "core",
                                          "cpu");
-    const sim::StopWatch validate_watch(cluster_->clock());
     const std::uint64_t writer = cc_->on_validate(*ctx);
-    stats_.time_validate += validate_watch.elapsed();
+    stats_.time_validate += validate_scope.elapsed();
     if (writer != 0) {
       ++stats_.txns_conflicted;
       ++stats_.txns_validation_failed;
@@ -460,7 +456,6 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     undo_log_.reset_tail();
     const obs::ScopedCost remote_scope(cluster_->sinks(), txn_id, "remote_undo", "core",
                                        "undo");
-    const sim::StopWatch remote_watch(cluster_->clock());
     std::uint64_t total = 0;
     for (const auto& u : ctx->undo()) {
       const std::uint64_t needed = undo_entry_bytes(u.before.size());
@@ -483,7 +478,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
       first = false;
       cluster_->failures().notify(points::kAfterRemoteUndo);
     }
-    stats_.time_remote_undo += remote_watch.elapsed();
+    stats_.time_remote_undo += remote_scope.elapsed();
   }
 
   if (ctx->undo().empty()) {  // read-only transaction: nothing to propagate
@@ -503,19 +498,17 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     // roll it back with the remote undo log.  The announcement carries the
     // shared log's exact tail, so recovery can prove it parsed every entry
     // — this transaction's and any open neighbour's interleaved with them.
-    const sim::StopWatch set_watch(cluster_->clock());
     {
       const obs::ScopedCost flag_scope(cluster_->sinks(), txn_id, "flag_set", "core",
                                        "flag");
       mirror_set_.store_flag(m, txn_id, undo_log_.tail(), netram::StreamHint::kNewBurst);
+      stats_.time_commit_flags += flag_scope.elapsed();
     }
-    stats_.time_commit_flags += set_watch.elapsed();
     cluster_->failures().notify(points::kAfterFlagSet);
 
     {
       const obs::ScopedCost propagate_scope(cluster_->sinks(), txn_id, "propagate", "core",
                                             "propagate");
-      const sim::StopWatch propagate_watch(cluster_->clock());
       const auto after_copy = [this] { cluster_->failures().notify(points::kAfterRangeCopy); };
       if (config_.coalesce_ranges) {
         // figure 3, step 3 — each record's merged dirty union exactly once,
@@ -527,18 +520,17 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
       } else {
         mirror_set_.propagate_entries(m, ctx->undo(), records_, after_copy);
       }
-      stats_.time_propagation += propagate_watch.elapsed();
+      stats_.time_propagation += propagate_scope.elapsed();
     }
 
     cluster_->failures().notify(points::kBeforeFlagClear);
     // THE commit point (for this mirror): the store clearing the flag.
-    const sim::StopWatch clear_watch(cluster_->clock());
     if (!mc_skip_flag_clear_) {
       const obs::ScopedCost clear_scope(cluster_->sinks(), txn_id, "flag_clear", "core",
                                         "flag");
       mirror_set_.store_flag(m, 0, 0, netram::StreamHint::kContinuation);
+      stats_.time_commit_flags += clear_scope.elapsed();
     }
-    stats_.time_commit_flags += clear_watch.elapsed();
     cluster_->failures().notify(points::kAfterFlagClear);
   }
 

@@ -1,54 +1,38 @@
 #include "obs/cost_ledger.hpp"
 
+#include <functional>
 #include <utility>
 
 #include "obs/trace.hpp"
 
 namespace perseas::obs {
 
-CostEntry& CostLedger::entry_for_top() {
-  static const CostKey kRoot{};
-  ScopeStack& stack = stacks_[sim::current_worker_id()];
-  const CostKey& key = stack.scopes.empty() ? kRoot : stack.scopes.back();
-  if (stack.last_hit < entries_.size() && entries_[stack.last_hit].key == key) {
-    return entries_[stack.last_hit];
+std::size_t CostLedger::KeyHash::operator()(const CostKey& key) const noexcept {
+  std::size_t h = std::hash<std::uint64_t>{}(key.txn);
+  for (const std::string_view name : {key.phase, key.layer, key.channel}) {
+    h = h * 31 + std::hash<std::string_view>{}(name);
   }
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].key == key) {
-      stack.last_hit = i;
-      return entries_[i];
-    }
-  }
-  entries_.push_back(CostEntry{key, 0, 0});
-  stack.last_hit = entries_.size() - 1;
-  return entries_.back();
+  return h;
+}
+
+CostEntry& CostLedger::current_row() {
+  static constexpr CostKey kRoot{};
+  const ScopedCost* scope = ScopedCost::innermost_;
+  while (scope != nullptr && scope->sinks_.ledger != this) scope = scope->parent_;
+  const CostKey& key = scope != nullptr ? scope->key_ : kRoot;
+  const auto [it, fresh] = index_.try_emplace(key, entries_.size());
+  if (fresh) entries_.push_back(CostEntry{key, 0, 0});
+  return entries_[it->second];
 }
 
 void CostLedger::on_advance(sim::SimDuration d) noexcept {
   sync::LockGuard lock(mu_);
-  entry_for_top().ns += d;
-}
-
-void CostLedger::on_reset() noexcept {
-  sync::LockGuard lock(mu_);
-  entries_.clear();
-  for (auto& [worker, stack] : stacks_) stack.last_hit = 0;
+  current_row().ns += d;
 }
 
 void CostLedger::add_bytes(std::uint64_t n) noexcept {
   sync::LockGuard lock(mu_);
-  entry_for_top().bytes += n;
-}
-
-void CostLedger::push_scope(CostKey key) {
-  sync::LockGuard lock(mu_);
-  stacks_[sim::current_worker_id()].scopes.push_back(std::move(key));
-}
-
-void CostLedger::pop_scope() noexcept {
-  sync::LockGuard lock(mu_);
-  auto& scopes = stacks_[sim::current_worker_id()].scopes;
-  if (!scopes.empty()) scopes.pop_back();
+  current_row().bytes += n;
 }
 
 std::vector<CostEntry> CostLedger::entries() const {
@@ -70,9 +54,9 @@ std::uint64_t CostLedger::total_bytes() const noexcept {
   return total;
 }
 
-std::vector<std::pair<std::string, sim::SimDuration>> CostLedger::by_phase() const {
+std::vector<std::pair<std::string_view, sim::SimDuration>> CostLedger::by_phase() const {
   sync::LockGuard lock(mu_);
-  std::vector<std::pair<std::string, sim::SimDuration>> out;
+  std::vector<std::pair<std::string_view, sim::SimDuration>> out;
   for (const CostEntry& e : entries_) {
     bool found = false;
     for (auto& [phase, ns] : out) {
@@ -116,26 +100,10 @@ Json CostLedger::to_json() const {
       .set("total_bytes", total_bytes);
 }
 
-void CostLedger::clear() noexcept {
-  sync::LockGuard lock(mu_);
-  entries_.clear();
-  stacks_.clear();
-}
-
-void ScopedCost::open_span(const CostSinks& sinks, std::uint64_t txn, std::string_view phase,
-                           std::string_view layer) noexcept {
-  clock_ = sinks.clock;
-  track_ = sinks.track;
-  txn_ = txn;
-  phase_ = phase;
-  layer_ = layer;
-  start_ = clock_->now();
-}
-
-void ScopedCost::close_span() noexcept {
+void ScopedCost::record_span() const noexcept {
   try {
-    recorder_->complete(track_, sim::current_worker_id(), layer_, phase_, txn_, start_,
-                        clock_->now() - start_);
+    sinks_.trace->complete(sinks_.track, sim::current_worker_id(), key_.layer, key_.phase,
+                           key_.txn, start_, sinks_.clock->now() - start_);
   } catch (...) {
     // Out of memory while recording: the span is lost, the run goes on.
   }

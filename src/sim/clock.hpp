@@ -43,11 +43,6 @@ class SimClock {
    public:
     virtual ~ChargeObserver() = default;
     virtual void on_advance(SimDuration d) noexcept = 0;
-    /// The clock was reset() to t=0: the books the observer accumulated
-    /// refer to a dead epoch.  Implementations drop their state so the
-    /// conservation law holds against the new epoch; the observer stays
-    /// attached.  Default: nothing (stateless observers).
-    virtual void on_reset() noexcept {}
   };
 
   SimClock() = default;
@@ -88,19 +83,6 @@ class SimClock {
     return fronts_.load(std::memory_order_relaxed);
   }
 
-  /// Resets to t=0.  Only meaningful before a simulation starts (never
-  /// with ThreadClock fronts registered — asserted).  The charge observer
-  /// stays attached and is told via on_reset() to drop its accumulated
-  /// state, so a ledger's conservation law holds against the new epoch
-  /// instead of silently breaking.  A StopWatch started before the reset
-  /// is stale: its elapsed() clamps to zero rather than going negative.
-  void reset() noexcept {
-    assert(fronts_.load(std::memory_order_relaxed) == 0);
-    now_.store(0, std::memory_order_relaxed);
-    advance_count_.store(0, std::memory_order_relaxed);
-    if (observer_ != nullptr) observer_->on_reset();
-  }
-
  private:
   friend class ThreadClock;
 
@@ -134,8 +116,8 @@ class SimClock {
 class ThreadClock {
  public:
   /// Registers this thread's front on `clock`.  `worker` is a small
-  /// harness-assigned id (1-based; 0 means "no front") used by cost
-  /// accountants to key per-thread attribution state.
+  /// harness-assigned id (1-based; 0 means "no front"), the lane of the
+  /// thread's trace spans.
   explicit ThreadClock(SimClock& clock, std::uint32_t worker = 1) noexcept
       : clock_(&clock), worker_(worker), base_(clock.now_.load(std::memory_order_relaxed)) {
     assert(current_ == nullptr && "one ThreadClock per thread");
@@ -205,8 +187,8 @@ class ThreadClock {
 inline thread_local ThreadClock* ThreadClock::current_ = nullptr;
 
 /// The calling thread's harness worker id (0 on the main thread / any
-/// thread without a ThreadClock).  Cost accountants use this to key
-/// per-thread attribution state without naming OS thread ids.
+/// thread without a ThreadClock).  Trace spans use it as their lane, so
+/// lanes are named by worker rather than by OS thread id.
 [[nodiscard]] inline std::uint32_t current_worker_id() noexcept {
   const ThreadClock* front = ThreadClock::current();
   return front != nullptr ? front->worker() : 0;
@@ -238,19 +220,12 @@ inline void SimClock::advance(SimDuration d) noexcept {
 ///   SimDuration cost = sw.elapsed();
 ///
 /// On a thread with a registered ThreadClock the watch reads the thread's
-/// own timeline, so it measures exactly the thread's own charges.  A watch
-/// that outlives a SimClock::reset() is stale: elapsed() clamps to zero
-/// (defined) instead of underflowing into negative durations.
+/// own timeline, so it measures exactly the thread's own charges.
 class StopWatch {
  public:
   explicit StopWatch(const SimClock& clock) noexcept : clock_(&clock), start_(clock.now()) {}
 
-  [[nodiscard]] SimDuration elapsed() const noexcept {
-    const SimTime n = clock_->now();
-    return n >= start_ ? n - start_ : 0;
-  }
-
-  void restart() noexcept { start_ = clock_->now(); }
+  [[nodiscard]] SimDuration elapsed() const noexcept { return clock_->now() - start_; }
 
  private:
   const SimClock* clock_;

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <barrier>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -173,69 +176,26 @@ TEST_F(CostLedgerTest, ToJsonCarriesRowsAndTotals) {
   EXPECT_NE(json.find("\"remote_undo\""), std::string::npos);
 }
 
-// Regression: SimClock::reset() used to leave the ledger attached with its
-// pre-reset rows, so `sum(ledger) == clock delta` silently broke for every
-// measurement taken after the reset.  The clock now tells its observer to
-// open a new epoch.
-TEST(CostLedgerReset, ConservationHoldsAcrossClockReset) {
-  sim::SimClock clock;
-  CostLedger ledger;
-  clock.set_observer(&ledger);
-
-  ledger.push_scope(CostKey{1, "warmup", "test", "-"});
-  clock.advance(100);
-  ledger.pop_scope();
-  EXPECT_EQ(ledger.total_ns(), 100);
-
-  clock.reset();
-  EXPECT_EQ(ledger.total_ns(), 0) << "pre-reset books belong to a dead epoch";
-  EXPECT_EQ(clock.observer(), &ledger);
-
-  ledger.push_scope(CostKey{2, "measured", "test", "-"});
-  clock.advance(40);
-  clock.advance(2);
-  ledger.pop_scope();
-  // Conservation against the new epoch, exactly.
-  EXPECT_EQ(ledger.total_ns(), clock.now());
-  ASSERT_EQ(ledger.entries().size(), 1u);
-  EXPECT_EQ(ledger.entries()[0].key.phase, "measured");
-}
-
-// A scope survives the reset when its RAII guard is still live: charges
-// after the reset book into the (fresh) row of the same key.
-TEST(CostLedgerReset, LiveScopeKeepsAttributingAfterReset) {
-  sim::SimClock clock;
-  CostLedger ledger;
-  clock.set_observer(&ledger);
-  const ScopedCost scope(CostSinks{&ledger, nullptr, 0, &clock}, 7, "phase", "test", "-");
-  clock.advance(10);
-  clock.reset();
-  clock.advance(5);
-  EXPECT_EQ(ledger.total_ns(), 5);
-  ASSERT_EQ(ledger.entries().size(), 1u);
-  EXPECT_EQ(ledger.entries()[0].key.txn, 7u);
-  EXPECT_EQ(ledger.entries()[0].ns, 5);
-}
-
-// The scope stacks are per worker (keyed by sim::current_worker_id()): a
-// charge made behind a ThreadClock front books to the scope that worker
-// pushed, not to the main thread's.
+// Scopes chain per thread: a charge made on a spawned worker books to the
+// scope that worker opened (or, with none open, to the root row), never to
+// the scope the main thread still has open.
 TEST(CostLedgerWorkers, ScopesAreKeyedByWorker) {
   sim::SimClock clock;
   CostLedger ledger;
   clock.set_observer(&ledger);
-
-  ledger.push_scope(CostKey{1, "main", "test", "-"});  // worker 0's stack
-  clock.advance(3);
+  const CostSinks sinks{&ledger, nullptr, 0, &clock};
   {
-    sim::ThreadClock tc(clock, 7);  // this thread now reports worker 7
-    clock.advance(10);              // worker 7 has no scope: root row
-    ledger.push_scope(CostKey{2, "worker", "test", "-"});
-    clock.advance(5);
-    ledger.pop_scope();
+    const ScopedCost main_scope(sinks, 1, "main", "test", "-");
+    clock.advance(3);
+    std::thread worker([&clock, &sinks] {
+      sim::ThreadClock tc(clock, 7);
+      clock.advance(10);  // the worker has no scope open: root row
+      const ScopedCost scope(sinks, 2, "worker", "test", "-");
+      clock.advance(5);
+    });
+    worker.join();
+    clock.advance(4);  // the main thread again: back to "main"
   }
-  clock.advance(4);  // worker 0 again: back to "main"
-  ledger.pop_scope();
 
   sim::SimDuration main_ns = 0;
   sim::SimDuration worker_ns = 0;
@@ -251,6 +211,38 @@ TEST(CostLedgerWorkers, ScopesAreKeyedByWorker) {
   EXPECT_EQ(ledger.total_ns(), clock.now()) << "conservation across workers";
 }
 
+// Threads without a sim::ThreadClock each have their own chain too: two
+// plain threads, both inside a scope at once, book exactly their own
+// charges.
+TEST(CostLedgerThreads, PlainThreadsBookToTheirOwnScope) {
+  sim::SimClock clock;
+  CostLedger ledger;
+  clock.set_observer(&ledger);
+  const CostSinks sinks{&ledger, nullptr, 0, &clock};
+  constexpr int kCharges = 1'000;
+  std::barrier sync(2);
+  const auto body = [&](std::string_view phase, sim::SimDuration per_charge) {
+    const ScopedCost scope(sinks, 1, phase, "test", "-");
+    sync.arrive_and_wait();  // both scopes are open before either charges
+    for (int i = 0; i < kCharges; ++i) clock.advance(per_charge);
+    sync.arrive_and_wait();  // and stay open until both are done
+  };
+  std::thread a(body, "a", 1);
+  std::thread b(body, "b", 2);
+  a.join();
+  b.join();
+
+  sim::SimDuration a_ns = 0;
+  sim::SimDuration b_ns = 0;
+  for (const auto& e : ledger.entries()) {
+    if (e.key.phase == "a") a_ns = e.ns;
+    if (e.key.phase == "b") b_ns = e.ns;
+  }
+  EXPECT_EQ(a_ns, kCharges * 1);
+  EXPECT_EQ(b_ns, kCharges * 2);
+  EXPECT_EQ(ledger.total_ns(), clock.now());
+}
+
 // Concurrent attribution: racing workers, each inside its own scope, book
 // exactly their own charges — per-row totals and the conservation law are
 // exact whatever the interleaving.
@@ -260,16 +252,15 @@ TEST(CostLedgerWorkers, ConcurrentChargesLandInTheChargingThreadsScope) {
   clock.set_observer(&ledger);
   constexpr int kThreads = 4;
   constexpr int kCharges = 500;
+  // Rows keep views of their names after the scope closes: literals only.
+  constexpr std::array<std::string_view, kThreads> kPhases = {"w0", "w1", "w2", "w3"};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&clock, &ledger, t] {
+    threads.emplace_back([&clock, &ledger, &kPhases, t] {
       sim::ThreadClock tc(clock, static_cast<std::uint32_t>(t) + 1);
-      // The scope keeps a view of its phase until it closes: the name must
-      // outlive it (a temporary would dangle once a trace is attached).
-      const std::string phase = "w" + std::to_string(t);
       const ScopedCost scope(CostSinks{&ledger, nullptr, 0, &clock},
-                             static_cast<std::uint64_t>(t) + 1, phase, "test", "-");
+                             static_cast<std::uint64_t>(t) + 1, kPhases[t], "test", "-");
       for (int i = 0; i < kCharges; ++i) {
         clock.advance(t + 1);  // worker t charges (t+1) ns per op
         if (i % 50 == 49) tc.merge();
@@ -281,13 +272,70 @@ TEST(CostLedgerWorkers, ConcurrentChargesLandInTheChargingThreadsScope) {
   for (int t = 0; t < kThreads; ++t) {
     sim::SimDuration ns = 0;
     for (const auto& e : ledger.entries()) {
-      if (e.key.phase == "w" + std::to_string(t)) ns += e.ns;
+      if (e.key.phase == kPhases[t]) ns += e.ns;
     }
     EXPECT_EQ(ns, static_cast<sim::SimDuration>(t + 1) * kCharges)
         << "worker " << t << " row must hold exactly its own charges";
   }
   EXPECT_EQ(ledger.total_ns(), clock.now());
 }
+
+// PerseasStats' phase times are read from the phase's own scope, so each
+// equals the sum of that phase's ledger rows exactly — under every
+// concurrency-control policy, including wait-die's charged waits.
+class PhaseStatsTest : public CostLedgerTest,
+                       public ::testing::WithParamInterface<core::CcPolicyKind> {};
+
+TEST_P(PhaseStatsTest, EachPhaseTimeEqualsItsLedgerRows) {
+  core::PerseasConfig config;
+  config.cc_policy = GetParam();
+  config.cc_wait = sim::us(7.0);
+  auto& db = make_db(config);
+  attach();
+  auto rec = db.record(0);
+  for (int round = 0; round < 3; ++round) {
+    auto older = db.begin_transaction();
+    auto younger = db.begin_transaction();
+    younger.set_range(rec, 0, 64);
+    std::memset(rec.bytes().data(), round, 64);
+    try {
+      // fww: loses at once; wait-die: waits, then loses; validate: declares.
+      older.set_range(rec, 256, 8);
+      older.set_range(rec, 16, 8);
+      std::memset(rec.bytes().data() + 256, round, 8);
+    } catch (const core::TxnConflict&) {
+    }
+    older.read_range(rec, 512, 16);
+    younger.commit();
+    older.commit();
+  }
+  expect_conservation();
+
+  const auto phase_ns = [this](std::string_view phase) {
+    sim::SimDuration ns = 0;
+    for (const auto& e : ledger_.entries()) {
+      if (e.key.phase == phase) ns += e.ns;
+    }
+    return ns;
+  };
+  const core::PerseasStats& s = db.stats();
+  EXPECT_EQ(s.time_local_undo, phase_ns("local_undo"));
+  EXPECT_EQ(s.time_remote_undo, phase_ns("remote_undo"));
+  EXPECT_EQ(s.time_validate, phase_ns("validate"));
+  EXPECT_EQ(s.time_propagation, phase_ns("propagate"));
+  EXPECT_EQ(s.time_commit_flags, phase_ns("flag_set") + phase_ns("flag_clear"));
+  EXPECT_EQ(s.time_cc_wait, phase_ns("cc_wait"));
+  EXPECT_GT(s.time_propagation, 0);
+  EXPECT_GT(s.time_commit_flags, 0);
+  if (GetParam() == core::CcPolicyKind::kWaitDie) {
+    EXPECT_EQ(s.time_cc_wait, 3 * sim::us(7.0)) << "one charged wait per round";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, PhaseStatsTest,
+                         ::testing::Values(core::CcPolicyKind::kFirstWriterWins,
+                                           core::CcPolicyKind::kWaitDie,
+                                           core::CcPolicyKind::kValidateAtCommit));
 
 TEST_F(CostLedgerTest, DetachStopsAttribution) {
   auto& db = make_db();

@@ -79,7 +79,7 @@ std::size_t expect_spans_match_ledger(const TraceRecorder& trace, const CostLedg
   }
   std::map<Key, sim::SimDuration> ledger_ns;
   for (const CostEntry& e : ledger.entries()) {
-    if (e.key.phase != "unattributed") ledger_ns[{e.key.txn, e.key.phase}] += e.ns;
+    if (e.key.phase != "unattributed") ledger_ns[{e.key.txn, std::string(e.key.phase)}] += e.ns;
   }
   for (const auto& [key, ns] : span_ns) {
     const auto row = ledger_ns.find(key);

@@ -9,18 +9,16 @@
 namespace perseas::sim {
 namespace {
 
-/// Counts observer callbacks; used by the reset/threading tests below.
+/// Counts observer callbacks; used by the threading tests below.
 /// Atomic because the observer hook runs on whichever thread charges (the
 /// production observer, obs::CostLedger, is internally locked).
 struct CountingObserver final : SimClock::ChargeObserver {
   std::atomic<SimDuration> charged{0};
   std::atomic<int> advances{0};
-  std::atomic<int> resets{0};
   void on_advance(SimDuration d) noexcept override {
     charged.fetch_add(d, std::memory_order_relaxed);
     advances.fetch_add(1, std::memory_order_relaxed);
   }
-  void on_reset() noexcept override { resets.fetch_add(1, std::memory_order_relaxed); }
 };
 
 TEST(SimClock, StartsAtZero) {
@@ -44,34 +42,6 @@ TEST(SimClock, ZeroAdvanceCountsButDoesNotMove) {
   EXPECT_EQ(clock.advance_count(), 1u);
 }
 
-TEST(SimClock, ResetClearsEverything) {
-  SimClock clock;
-  clock.advance(123);
-  clock.reset();
-  EXPECT_EQ(clock.now(), 0);
-  EXPECT_EQ(clock.advance_count(), 0u);
-}
-
-// Regression: reset() used to leave the observer attached with its stale
-// accumulated state, silently breaking any conservation law the observer
-// maintains.  Now the observer stays attached but is told to start a new
-// epoch.
-TEST(SimClock, ResetNotifiesTheObserverAndKeepsItAttached) {
-  SimClock clock;
-  CountingObserver obs;
-  clock.set_observer(&obs);
-  clock.advance(100);
-  EXPECT_EQ(obs.charged.load(), 100);
-
-  clock.reset();
-  EXPECT_EQ(obs.resets.load(), 1);
-  EXPECT_EQ(clock.observer(), &obs) << "reset must not silently detach";
-
-  clock.advance(40);
-  EXPECT_EQ(obs.charged.load(), 140) << "post-reset charges still reach the observer";
-  EXPECT_EQ(obs.advances.load(), 2);
-}
-
 TEST(StopWatch, MeasuresOnlyItsWindow) {
   SimClock clock;
   clock.advance(us(10));
@@ -81,36 +51,6 @@ TEST(StopWatch, MeasuresOnlyItsWindow) {
   EXPECT_EQ(watch.elapsed(), us(3.0));
   clock.advance(us(4));
   EXPECT_EQ(watch.elapsed(), us(7.0));
-}
-
-TEST(StopWatch, RestartRebasesTheWindow) {
-  SimClock clock;
-  StopWatch watch(clock);
-  clock.advance(us(5));
-  watch.restart();
-  clock.advance(us(2));
-  EXPECT_EQ(watch.elapsed(), us(2.0));
-}
-
-// Regression: a watch started before SimClock::reset() used to underflow
-// (now < start makes elapsed() negative).  Stale watches now clamp to zero
-// until the clock passes their start again — and restart() rebases them
-// onto the new epoch.
-TEST(StopWatch, StaleWatchAfterResetClampsToZero) {
-  SimClock clock;
-  clock.advance(us(10));
-  StopWatch watch(clock);
-  clock.advance(us(5));
-  EXPECT_EQ(watch.elapsed(), us(5.0));
-
-  clock.reset();
-  EXPECT_EQ(watch.elapsed(), 0) << "stale watch must not go negative";
-  clock.advance(us(3));
-  EXPECT_EQ(watch.elapsed(), 0) << "still behind its pre-reset start";
-
-  watch.restart();
-  clock.advance(us(2));
-  EXPECT_EQ(watch.elapsed(), us(2.0));
 }
 
 // --- ThreadClock: the per-thread virtual-time front ---------------------

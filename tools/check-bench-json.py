@@ -87,6 +87,19 @@ def check(doc):
             if row.get("mode") == "disjoint" and row.get("conflicts", 0) != 0:
                 fail(f"rows[{i}]: disjoint partitions must not conflict, "
                      f"got conflicts={row.get('conflicts')!r}")
+            # Forced-conflict rows: a victim claim on branch 0's row makes
+            # every raid (each conflict_every-th transaction of workers
+            # 1..N-1) lose, so a count under that floor means the smoke
+            # proved nothing.
+            if row.get("mode") == "conflicting":
+                every = row.get("conflict_every")
+                if not isinstance(every, int) or isinstance(every, bool) or every < 1:
+                    fail(f"rows[{i}].conflict_every must be a positive "
+                         f"integer, got {every!r}")
+                floor = (threads - 1) * (row.get("txns_per_thread", 0) // every)
+                if row.get("conflicts", 0) < floor:
+                    fail(f"rows[{i}]: every raid must lose, so conflicts >= "
+                         f"{floor}, got conflicts={row.get('conflicts')!r}")
         # CC-policy sweep rows (bench_cc): per-row structural invariants.
         # The interleavings are not deterministic, so golden values are out;
         # what must always hold is the abort-reason accounting and the
