@@ -186,8 +186,10 @@ std::optional<UndoLog::ScanResult> UndoLog::scan(std::span<const std::byte> log,
     const bool required = pos < must_parse;
     UndoEntryHeader e;
     std::memcpy(&e, log.data() + pos, sizeof e);
+    // The entry is bytes read back from another machine: bound offset and
+    // size without forming a sum that could wrap around 2^64.
     const bool shape_ok = e.magic == UndoEntryHeader::kMagic && e.record < hdr.record_count &&
-                          e.size <= sizes[e.record] && e.offset + e.size <= sizes[e.record] &&
+                          e.size <= sizes[e.record] && e.offset <= sizes[e.record] - e.size &&
                           pos + undo_entry_bytes(e.size) <= segment_bytes;
     if (!shape_ok) {
       if (required) {

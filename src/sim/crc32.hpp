@@ -1,12 +1,20 @@
-// CRC-32C (Castagnoli), table-driven, for integrity-checking log entries.
+// CRC-32C (Castagnoli), for integrity-checking log entries.
 //
 // The remote undo log is the single structure recovery depends on while a
 // commit is in flight; a checksum per entry lets recovery distinguish the
 // clean end of the log (stale bytes with a wrong magic) from actual
 // corruption of an entry it needs.
+//
+// Two kernels compute it (crc32.cpp).  On an x86-64 CPU that reports
+// SSE4.2 at run time, crc32c() feeds eight bytes per step to the `crc32`
+// instruction, which computes exactly this CRC.  Every other CPU runs a
+// byte-at-a-time 256-entry table loop, which is also the reference the
+// tests hold the instruction to.  Values, seeds and chaining are
+// bit-identical on both paths: an entry checksummed by one verifies on the
+// other, so the undo-entry format, recovery and every dump or report built
+// from checksums do not depend on the host CPU.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -15,33 +23,21 @@ namespace perseas::sim {
 
 namespace detail {
 
-constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0u);
-    }
-    table[i] = crc;
-  }
-  return table;
-}
+/// The portable kernel and the reference: one table lookup per byte.
+std::uint32_t crc32c_table(std::span<const std::byte> data, std::uint32_t seed);
 
-inline constexpr std::array<std::uint32_t, 256> kCrc32cTable = make_crc32c_table();
+/// True when the CPU has the SSE4.2 `crc32` instruction (x86-64 only).
+bool crc32c_hw_available();
+
+/// The instruction kernel, eight bytes per step.  Call it only when
+/// crc32c_hw_available() holds; elsewhere it runs the table kernel.
+std::uint32_t crc32c_hw(std::span<const std::byte> data, std::uint32_t seed);
 
 }  // namespace detail
 
 /// Incremental CRC-32C; pass the previous return value as `seed` to chain
 /// buffers.  Final value for one-shot use is just the return value.
-inline std::uint32_t crc32c(std::span<const std::byte> data,
-                            std::uint32_t seed = 0xffffffffu) {
-  std::uint32_t crc = seed;
-  for (const std::byte b : data) {
-    crc = (crc >> 8) ^
-          detail::kCrc32cTable[(crc ^ static_cast<std::uint8_t>(b)) & 0xffu];
-  }
-  return crc;
-}
+std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed = 0xffffffffu);
 
 /// One-shot convenience producing the conventional finalized value.
 inline std::uint32_t crc32c_final(std::span<const std::byte> data) {

@@ -3,6 +3,7 @@
 // exactly as paper section 3 describes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <initializer_list>
 #include <optional>
@@ -332,6 +333,37 @@ TEST_F(PerseasRecoveryTest, MirrorCrashLosesDatabaseWhenPrimaryAlsoDies) {
 
 TEST_F(PerseasRecoveryTest, RecoverWithNoServersFails) {
   EXPECT_THROW(Perseas::recover(cluster_, 0, {}), RecoveryError);
+}
+
+// The undo log is bytes read back from another machine.  The in-flight
+// transaction's first entry is rewritten so offset + size wraps around
+// 2^64, with its checksum recomputed: recovery refuses the mirror with
+// RecoveryError and notes the anomaly, rather than hand the entry to the
+// rollback.
+TEST_F(PerseasRecoveryTest, ForgedWrappingUndoEntryIsRefused) {
+  auto& db = make_committed_db();
+  run_doomed_txn(db, "perseas.commit.after_range_copy");
+  ASSERT_TRUE(cluster_.node(0).crashed());
+
+  netram::RemoteMemoryClient vandal(cluster_, 2);
+  const auto undo = vandal.sci_connect_segment(server_, undo_key(0));
+  ASSERT_TRUE(undo);
+  std::vector<std::byte> entry(undo_entry_bytes(16));
+  vandal.sci_memcpy_read(*undo, 0, entry);
+  UndoEntryHeader e;
+  std::memcpy(&e, entry.data(), sizeof e);
+  ASSERT_EQ(e.magic, UndoEntryHeader::kMagic);
+  ASSERT_EQ(e.size, 16u);
+  e.offset = ~std::uint64_t{0} - 7;  // 2^64 - 8
+  e.checksum = undo_entry_checksum(e, std::span<const std::byte>(entry).subspan(sizeof e, e.size));
+  std::memcpy(entry.data(), &e, sizeof e);
+  vandal.sci_memcpy_write(*undo, 0, entry);
+
+  EXPECT_THROW((void)Perseas::recover(cluster_, 2, {&server_}), RecoveryError);
+  const auto lines = cluster_.flight().narrative();
+  EXPECT_TRUE(std::any_of(lines.begin(), lines.end(), [](const std::string& line) {
+    return line.find("fault.anomaly") != std::string::npos;
+  }));
 }
 
 // Recovery fetches the remote undo log in growing prefixes instead of the

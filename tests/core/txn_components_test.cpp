@@ -4,8 +4,10 @@
 // orchestration layer's compile-time pinning contract.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 #include <type_traits>
+#include <vector>
 
 #include "core/conflict_table.hpp"
 #include "core/perseas.hpp"
@@ -327,22 +329,64 @@ TEST_F(UndoLogScanTest, CorruptAnnouncedEntryIsRefusedByEveryPrefixThatHoldsIt) 
   EXPECT_THROW((void)UndoLog::scan({}, bytes_.size(), lying, sizes_), RecoveryError);
 }
 
+// The undo log is bytes read back from another machine.  An entry whose
+// offset + size wraps around 2^64 (here to 8, inside the record) is forged
+// geometry: recovery refuses it inside the announced prefix instead of
+// handing it to the rollback, and beyond the prefix it ends the log.
+TEST_F(UndoLogScanTest, EntryWhoseRangeWrapsAroundIsRefused) {
+  append(3, 0, std::byte{0xAA});
+  const std::size_t forged = bytes_.size();
+  append(3, 0, std::byte{0xBB}, 16);
+  UndoEntryHeader e;
+  std::memcpy(&e, bytes_.data() + forged, sizeof e);
+  e.offset = ~std::uint64_t{0} - 7;  // 2^64 - 8
+  e.checksum =
+      undo_entry_checksum(e, std::span<const std::byte>(bytes_).subspan(forged + sizeof e, e.size));
+  std::memcpy(bytes_.data() + forged, &e, sizeof e);
+
+  EXPECT_THROW((void)scan_all(header(3)), RecoveryError);
+
+  MetaHeader hdr = header(3);
+  hdr.propagating_undo_bytes = forged;  // announces only the first entry
+  const auto result = scan_all(hdr);
+  EXPECT_EQ(result.bytes_scanned, forged);
+  ASSERT_EQ(result.rollbacks.size(), 1u);
+  EXPECT_EQ(result.rollbacks[0].offset, 0u);
+}
+
+// CRC-32C detects every error burst of 32 bits or less, so flipping bits of
+// any one checksummed byte (a header field or the image) changes the
+// checksum, and recovery refuses the entry inside the announced prefix.
+// Image sizes 1-17 give every tail length after the kernel's 8-byte steps.
 TEST_F(UndoLogScanTest, ChecksumCoversHeaderFieldsAndImage) {
-  UndoImage u;
-  u.record = 3;
-  u.offset = 40;
-  u.before.assign(16, std::byte{0x42});
-  UndoEntryHeader hdr;
-  hdr.record = u.record;
-  hdr.txn_id = 9;
-  hdr.offset = u.offset;
-  hdr.size = u.before.size();
-  const auto base = undo_entry_checksum(hdr, u.before);
-  hdr.txn_id = 10;
-  EXPECT_NE(undo_entry_checksum(hdr, u.before), base);
-  hdr.txn_id = 9;
-  u.before[0] = std::byte{0x43};
-  EXPECT_NE(undo_entry_checksum(hdr, u.before), base);
+  constexpr std::size_t kFieldsBegin = offsetof(UndoEntryHeader, record);
+  constexpr std::size_t kFieldsEnd = offsetof(UndoEntryHeader, checksum);  // one past size
+  for (std::uint64_t size = 1; size <= 17; ++size) {
+    bytes_.clear();
+    append(9, 40, std::byte{0x42}, size);
+    const auto entry = bytes_;
+    const auto hdr = header(9);
+    ASSERT_EQ(scan_all(hdr).rollbacks.size(), 1u) << "size " << size;
+    UndoEntryHeader original;
+    std::memcpy(&original, entry.data(), sizeof original);
+
+    std::vector<std::size_t> covered;
+    for (std::size_t i = kFieldsBegin; i < kFieldsEnd; ++i) covered.push_back(i);
+    for (std::size_t i = 0; i < size; ++i) covered.push_back(sizeof(UndoEntryHeader) + i);
+    for (const std::size_t i : covered) {
+      for (const unsigned mask : {0x01u, 0x10u, 0x80u, 0xFFu}) {
+        auto flipped = entry;
+        flipped[i] ^= static_cast<std::byte>(mask);
+        UndoEntryHeader e;
+        std::memcpy(&e, flipped.data(), sizeof e);
+        const std::span<const std::byte> image{flipped.data() + sizeof e, size};
+        EXPECT_NE(undo_entry_checksum(e, image), original.checksum)
+            << "size " << size << ", byte " << i << ", mask " << mask;
+        EXPECT_THROW((void)UndoLog::scan(flipped, flipped.size(), hdr, sizes_), RecoveryError)
+            << "size " << size << ", byte " << i << ", mask " << mask;
+      }
+    }
+  }
 }
 
 TEST_F(UndoLogScanTest, SerializePadsEntriesToEightBytes) {

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <vector>
 
+#include "sim/random.hpp"
+
 namespace perseas::sim {
 namespace {
 
@@ -14,9 +16,39 @@ std::vector<std::byte> bytes_of(const char* s) {
   return v;
 }
 
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::byte> v(n);
+  for (auto& b : v) b = static_cast<std::byte>(rng.next());
+  return v;
+}
+
+using Kernel = std::uint32_t (*)(std::span<const std::byte>, std::uint32_t);
+
+// Every length 0-300 (so every tail after the 8-byte steps, many times
+// over) at every start offset 0-7 of the buffer, under several seeds:
+// `kernel` must return exactly what the table kernel returns.
+void expect_matches_table(Kernel kernel) {
+  constexpr std::size_t kMaxLength = 300;
+  const auto buf = random_bytes(kMaxLength + 8, 7);
+  Rng rng(11);
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= kMaxLength; ++len) {
+      const std::span<const std::byte> data = std::span(buf).subspan(start, len);
+      const auto random_seed = static_cast<std::uint32_t>(rng.next());
+      for (const std::uint32_t seed : {0xffffffffu, 0u, random_seed}) {
+        ASSERT_EQ(kernel(data, seed), detail::crc32c_table(data, seed))
+            << "start " << start << ", length " << len << ", seed " << seed;
+      }
+    }
+  }
+}
+
 TEST(Crc32c, KnownVector) {
   // Standard CRC-32C test vector: "123456789" -> 0xE3069283.
-  EXPECT_EQ(crc32c_final(bytes_of("123456789")), 0xE3069283u);
+  const auto data = bytes_of("123456789");
+  EXPECT_EQ(crc32c_final(data), 0xE3069283u);
+  EXPECT_EQ(detail::crc32c_table(data, 0xffffffffu) ^ 0xffffffffu, 0xE3069283u);
 }
 
 TEST(Crc32c, EmptyInput) {
@@ -43,11 +75,24 @@ TEST(Crc32c, SensitiveToOrder) {
 }
 
 TEST(Crc32c, ChainingMatchesOneShot) {
-  const auto whole = bytes_of("hello world");
-  const auto left = bytes_of("hello ");
-  const auto right = bytes_of("world");
-  const std::uint32_t chained = crc32c(right, crc32c(left)) ^ 0xffffffffu;
-  EXPECT_EQ(chained, crc32c_final(whole));
+  const auto whole = random_bytes(100, 3);
+  const std::uint32_t one_shot = crc32c_final(whole);
+  for (std::size_t cut = 0; cut <= whole.size(); ++cut) {
+    const auto left = std::span(whole).first(cut);
+    const auto right = std::span(whole).subspan(cut);
+    EXPECT_EQ(crc32c(right, crc32c(left)) ^ 0xffffffffu, one_shot) << "cut at " << cut;
+  }
+}
+
+TEST(Crc32c, DispatchedKernelMatchesTheTable) {
+  expect_matches_table(&crc32c);
+}
+
+TEST(Crc32c, HardwareKernelMatchesTheTable) {
+  if (!detail::crc32c_hw_available()) GTEST_SKIP() << "this CPU has no SSE4.2 crc32 instruction";
+  expect_matches_table(&detail::crc32c_hw);
+  const auto data = bytes_of("123456789");
+  EXPECT_EQ(detail::crc32c_hw(data, 0xffffffffu) ^ 0xffffffffu, 0xE3069283u);
 }
 
 }  // namespace
