@@ -5,8 +5,10 @@
 // stage at which the primary died.
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "bench/bench_util.hpp"
+#include "core/failure_points.hpp"
 #include "core/perseas.hpp"
 
 namespace {
@@ -15,7 +17,8 @@ using namespace perseas;
 
 /// Builds a database of `db_size` bytes, optionally crashes the primary at
 /// `crash_point` during a commit, and returns the simulated recovery time.
-sim::SimDuration measure_recovery(std::uint64_t db_size, const char* crash_point) {
+sim::SimDuration measure_recovery(std::uint64_t db_size,
+                                  std::optional<core::points::PointId> crash_point) {
   netram::Cluster cluster(sim::HardwareProfile::forth_1997(), 3);
   netram::RemoteMemoryServer server(cluster, 1);
   core::PerseasConfig config;
@@ -30,8 +33,8 @@ sim::SimDuration measure_recovery(std::uint64_t db_size, const char* crash_point
     txn.commit();
   }
 
-  if (crash_point != nullptr) {
-    cluster.failures().arm(crash_point, [&] {
+  if (crash_point) {
+    cluster.failures().arm(*crash_point, [&] {
       cluster.crash_node(0, sim::FailureKind::kSoftwareCrash);
       throw sim::NodeCrashed(0, sim::FailureKind::kSoftwareCrash, "armed");
     });
@@ -62,23 +65,23 @@ void print_recovery_tables() {
   std::printf("--- recovery time vs database size (idle crash) ---\n");
   std::printf("%16s %16s\n", "db size (bytes)", "recovery");
   for (const std::uint64_t size : {64ULL << 10, 1ULL << 20, 4ULL << 20, 16ULL << 20}) {
-    const auto d = measure_recovery(size, nullptr);
+    const auto d = measure_recovery(size, std::nullopt);
     std::printf("%16llu %16s\n", static_cast<unsigned long long>(size),
                 sim::format_duration(d).c_str());
   }
 
   std::printf("\n--- recovery time vs crash stage (1 MB database) ---\n");
   std::printf("%-44s %16s\n", "crash stage", "recovery");
-  const char* stages[] = {
+  const core::points::PointId stages[] = {
       "perseas.set_range.after_local_undo",
       "perseas.set_range.after_remote_undo",
       "perseas.commit.after_flag_set",
       "perseas.commit.after_range_copy",
       "perseas.commit.before_flag_clear",
   };
-  for (const char* stage : stages) {
+  for (const core::points::PointId stage : stages) {
     const auto d = measure_recovery(1 << 20, stage);
-    std::printf("%-44s %16s\n", stage, sim::format_duration(d).c_str());
+    std::printf("%-44s %16s\n", stage.name(), sim::format_duration(d).c_str());
   }
   std::printf("\nrecovery = reconnect + (optional) remote rollback + one remote-to-\n"
               "local copy per record; dominated by SCI read bandwidth, not disks.\n");

@@ -2,8 +2,8 @@
 // obs::FlightRecorder can record, in one constexpr table — the companion
 // of the failure-point registry in core/failure_points.hpp.
 //
-// FlightRecorder::record() takes an EventKind, so (unlike the injector's
-// free-form strings) a typo'd kind cannot compile; what CAN rot is the
+// FlightRecorder::record() takes an EventKind, so (like the injector's
+// core::points::PointId) a typo'd kind cannot compile; what CAN rot is the
 // table itself — a kind nobody records (dead row) or a row whose argument
 // labels drifted from what the recording site actually passes.  The table
 // closes that from three directions:
@@ -20,10 +20,11 @@
 // Columns: `category` groups kinds for the narrative renderer (txn |
 // undo | sci | flag | recover | fault); `a`/`b`/`c` label the three
 // payload words of the fixed-size event.  A label starting with '$'
-// means the word is an index into the dump's interned string table
-// (dynamic strings — failure-point names, anomaly messages — are
-// interned so the sim layer need not depend on this header).  Empty
-// labels mean the word is unused (recorded as zero).
+// means the word is an index into the dump's string table: a
+// failure-point registry row (PointId::index()) below
+// kFailurePointCount, an interned string (recovery steps, anomaly
+// messages) above it.  Empty labels mean the word is unused (recorded
+// as zero).
 #pragma once
 
 #include <cstddef>

@@ -1,19 +1,19 @@
 // The central failure-point registry: every crash point any engine ever
-// notifies, in one constexpr table.
+// notifies, in one constexpr table.  A point's row is its identity: a
+// PointId is an index into kFailurePoints, and sim::FailureInjector, the
+// flight recorder and perseas::mc all key on it.
 //
-// sim::FailureInjector::notify() takes a free-form string, which is
-// exactly how a typo'd point silently never fires.  This table closes
-// that hole from three directions:
-//   * source: the engines name their points via the constants below (the
-//     perseas.* ones live in protocol_points.hpp; rvm/vista/netram alias
-//     theirs from here), so an unregistered literal cannot exist;
+// The table is kept honest from three directions:
+//   * compile time: PointId converts from a name only in a constant
+//     expression (consteval), so notify()/arm() of an unregistered literal
+//     does not compile, as a typo'd EventKind does not;
+//     PointId::find() is the one run-time lookup, for names read from
+//     input (perseas-mc --point);
 //   * lint: tools/perseas-lint.py rule A checks every dotted point
 //     literal in src/ against this table AND against the table in
 //     docs/ANALYSIS.md §6, in both directions;
-//   * runtime: perseas::mc's discovery sweep flags any notified point
-//     missing from the registry as a "registry" violation, and
-//     tools/check-mc-report.py --registry enforces that an exhaustive
-//     sweep fired every row marked mc-reachable.
+//   * coverage: tools/check-mc-report.py --registry enforces that an
+//     exhaustive sweep fired every row marked mc-reachable.
 //
 // Columns: `engine` is the namespace that owns the point (first dotted
 // component), `phase` the protocol step (second component), `order` the
@@ -36,7 +36,12 @@
 // the commit and recover paths.  docs/ANALYSIS.md §8 defines the check.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <optional>
+#include <stdexcept>
 #include <string_view>
+#include <utility>
 
 #include "core/protocol_points.hpp"
 
@@ -122,23 +127,53 @@ inline constexpr FailurePoint kFailurePoints[] = {
     {kVistaRecoverDone, "vista", "recover", 60, true},
 };
 
-inline constexpr std::size_t kFailurePointCount =
-    sizeof(kFailurePoints) / sizeof(kFailurePoints[0]);
+inline constexpr std::size_t kFailurePointCount = std::size(kFailurePoints);
 
-/// The registry row for `name`, or nullptr when the point is unregistered.
-[[nodiscard]] constexpr const FailurePoint* find_point(std::string_view name) noexcept {
-  for (const FailurePoint& p : kFailurePoints) {
-    if (name == p.name) return &p;
+/// A registered failure point: the index of its row in kFailurePoints.
+/// Every PointId names a row, so code that holds one needs no lookup.
+class PointId {
+ public:
+  /// Implicit, so notify(points::kCommitDone) and arm("perseas.commit.done", ...)
+  /// read as plain names; consteval, so an unregistered name does not compile.
+  consteval PointId(const char* name) : index_(index_of(name)) {}
+
+  /// The row named `name`, or nullopt: the run-time lookup for input.
+  [[nodiscard]] static constexpr std::optional<PointId> find(std::string_view name) noexcept {
+    for (std::size_t i = 0; i < kFailurePointCount; ++i) {
+      if (name == kFailurePoints[i].name) return PointId(i);
+    }
+    return std::nullopt;
   }
-  return nullptr;
-}
 
-[[nodiscard]] constexpr bool is_registered(std::string_view name) noexcept {
-  return find_point(name) != nullptr;
-}
+  /// Every registered point, in registry order.
+  [[nodiscard]] static constexpr auto all() noexcept {
+    return []<std::size_t... I>(std::index_sequence<I...>) {
+      return std::array<PointId, sizeof...(I)>{PointId(I)...};
+    }(std::make_index_sequence<kFailurePointCount>{});
+  }
 
-static_assert(is_registered("perseas.commit.done"));
-static_assert(!is_registered("perseas.commit.dome"));
+  [[nodiscard]] constexpr std::size_t index() const noexcept { return index_; }
+  [[nodiscard]] constexpr const FailurePoint& row() const noexcept {
+    return kFailurePoints[index_];
+  }
+  [[nodiscard]] constexpr const char* name() const noexcept { return row().name; }
+
+  friend constexpr bool operator==(PointId, PointId) noexcept = default;
+
+ private:
+  explicit constexpr PointId(std::size_t index) noexcept : index_(index) {}
+
+  static consteval std::size_t index_of(const char* name) {
+    const std::optional<PointId> id = find(name);
+    if (!id) throw std::invalid_argument("unregistered failure point");
+    return id->index();
+  }
+
+  std::size_t index_;
+};
+
+static_assert(PointId("perseas.commit.done").name() == std::string_view(kCommitDone));
+static_assert(!PointId::find("perseas.commit.dome"));
 
 namespace detail {
 // Two points of one engine with the same order would make the V1

@@ -89,7 +89,7 @@ class PerseasFixture final : public McFixture {
     }
   }
 
-  [[nodiscard]] std::vector<std::string> committed_points() const override {
+  [[nodiscard]] std::vector<core::points::PointId> committed_points() const override {
     // Single-mirror configuration: the store clearing propagating_txn on
     // the (only) mirror IS the commit point.
     return {"perseas.commit.after_flag_clear", "perseas.commit.done"};
@@ -146,7 +146,7 @@ class LabFixture final : public McFixture {
     }
   }
 
-  [[nodiscard]] std::vector<std::string> committed_points() const override {
+  [[nodiscard]] std::vector<core::points::PointId> committed_points() const override {
     if (kind_ == workload::EngineKind::kVista) return {"vista.commit.done"};
     // group_commit_size is 1 here, so commit_transaction always forces:
     // once the record body is durable, replay applies it deterministically.

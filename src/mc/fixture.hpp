@@ -19,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/failure_points.hpp"
 #include "netram/cluster.hpp"
 #include "sim/failure.hpp"
 
@@ -82,7 +83,7 @@ class McFixture {
   /// Failure points at or past the engine's commit point: a crash there
   /// must leave the in-flight transaction durable (recovery yields the
   /// post-image, never the pre-image).
-  [[nodiscard]] virtual std::vector<std::string> committed_points() const = 0;
+  [[nodiscard]] virtual std::vector<core::points::PointId> committed_points() const = 0;
   /// Failure kinds this engine's substrate can recover from at all.
   [[nodiscard]] virtual std::vector<sim::FailureKind> supported_kinds() const = 0;
 

@@ -5,16 +5,15 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/failure_points.hpp"
 #include "mc/reference_model.hpp"
 #include "obs/flight_recorder.hpp"
-#include "sim/random.hpp"
 
 namespace perseas::mc {
 
 namespace {
 
-using PointHits = sim::FailureInjector::PointHits;
+using core::points::PointId;
+using HitCounts = sim::FailureInjector::HitCounts;
 
 /// Flight-recorder events embedded in a counterexample's timeline (the
 /// last N before the invariant check fired).
@@ -27,22 +26,6 @@ void attach_timeline(McViolation& v, McFixture& fixture) {
   obs::FlightRecorder& flight = fixture.cluster().flight();
   v.timeline = flight.narrative(kTimelineEvents);
   flight.note_anomaly("mc " + v.invariant + " violation: " + v.detail);
-}
-
-/// Every discovered point must be a row of the central registry
-/// (core/failure_points.hpp) — a notify() of an unregistered name is a
-/// point the lint/docs/mc triad cannot see, so it surfaces as a
-/// "registry" violation instead of silently widening the state space.
-void check_registered(McResult& result, const std::vector<PointHits>& window) {
-  for (const PointHits& row : window) {
-    if (core::points::is_registered(row.point)) continue;
-    McViolation v;
-    v.invariant = "registry";
-    v.point = row.point;
-    v.detail = "failure point \"" + row.point +
-               "\" is not in core/failure_points.hpp's registry";
-    result.violations.push_back(std::move(v));
-  }
 }
 
 /// Scopes the PERSEAS_MC_SEED_BUG knob to one checker run (self-test mode),
@@ -75,45 +58,25 @@ class EnvGuard {
   std::string old_;
 };
 
-/// Hits `after` gained over `before`, per point (points sorted in both).
-std::vector<PointHits> window_delta(const std::vector<PointHits>& before,
-                                    const std::vector<PointHits>& after) {
-  std::vector<PointHits> delta;
-  for (const PointHits& row : after) {
-    std::uint64_t base = 0;
-    for (const PointHits& old : before) {
-      if (old.point == row.point) {
-        base = old.hits;
-        break;
-      }
-    }
-    if (row.hits > base) delta.push_back({row.point, row.hits - base});
-  }
+/// Hits `after` gained over `before`, per point.
+HitCounts window_delta(const HitCounts& before, const HitCounts& after) {
+  HitCounts delta{};
+  for (std::size_t i = 0; i < delta.size(); ++i) delta[i] = after[i] - before[i];
   return delta;
 }
 
 /// Folds `window` into `acc` keeping the max hit count per point.
-void merge_window(std::vector<PointHits>& acc, const std::vector<PointHits>& window) {
-  for (const PointHits& row : window) {
-    auto it = std::find_if(acc.begin(), acc.end(),
-                           [&](const PointHits& a) { return a.point == row.point; });
-    if (it == acc.end()) {
-      acc.push_back(row);
-    } else {
-      it->hits = std::max(it->hits, row.hits);
-    }
-  }
-  std::sort(acc.begin(), acc.end(),
-            [](const PointHits& a, const PointHits& b) { return a.point < b.point; });
+void merge_window(HitCounts& acc, const HitCounts& window) {
+  for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = std::max(acc[i], window[i]);
 }
 
-template <typename T>
-void seeded_shuffle(std::vector<T>& items, std::uint64_t seed) {
-  sim::Rng rng(seed);
-  for (std::size_t i = items.size(); i > 1; --i) {
-    std::swap(items[i - 1], items[rng.below(i)]);
-  }
-}
+/// Every registry row, in name order.
+constexpr auto kPointsByName = [] {
+  auto ids = PointId::all();
+  std::sort(ids.begin(), ids.end(),
+            [](PointId a, PointId b) { return std::string_view(a.name()) < b.name(); });
+  return ids;
+}();
 
 std::string hex_byte(std::uint8_t v) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -125,28 +88,27 @@ std::string describe_mismatch(const McMismatch& mm) {
          ", got " + hex_byte(mm.actual);
 }
 
-bool contains(const std::vector<std::string>& haystack, const std::string& needle) {
-  return std::find(haystack.begin(), haystack.end(), needle) != haystack.end();
-}
-
 }  // namespace
 
-/// The name used for the after-the-whole-workload durability sweep in
-/// reports and --point reproduction filters.
-static constexpr const char* kPostWorkload = "post-workload";
+std::vector<PointHits> hit_rows(const HitCounts& hits) {
+  std::vector<PointHits> rows;
+  for (const PointId point : kPointsByName) {
+    if (hits[point.index()] != 0) rows.push_back({point, hits[point.index()]});
+  }
+  return rows;
+}
 
 struct ModelChecker::Combo {
-  std::string point;  // empty for post_workload
+  std::optional<PointId> point;  // nullopt: the post-workload durability sweep
   std::uint64_t hit = 0;
   sim::FailureKind kind = sim::FailureKind::kSoftwareCrash;
-  bool post_workload = false;
 };
 
 struct ModelChecker::Outcome {
   bool fired = false;
   std::uint64_t crash_txn = 0;
   std::optional<McViolation> violation;
-  std::vector<PointHits> recovery_window;
+  HitCounts recovery_window{};
 };
 
 ModelChecker::ModelChecker(McOptions options) : options_(std::move(options)) {}
@@ -219,7 +181,6 @@ void ModelChecker::discover(McResult& result) {
   run_workload(*fixture, options_.txns, ignored);
 
   result.points = window_delta(baseline, injector.snapshot());
-  check_registered(result, result.points);
   const auto db = fixture->db();
   if (const auto mm = first_mismatch(states_.back(), db)) {
     McViolation v;
@@ -232,7 +193,7 @@ void ModelChecker::discover(McResult& result) {
 }
 
 ModelChecker::Outcome ModelChecker::explore(const Combo& combo, std::uint64_t txn_limit,
-                                            const std::string* nested_point,
+                                            std::optional<PointId> nested_point,
                                             std::uint64_t nested_hit,
                                             bool want_recovery_window) {
   Outcome out;
@@ -241,12 +202,14 @@ ModelChecker::Outcome ModelChecker::explore(const Combo& combo, std::uint64_t tx
   auto& injector = fixture->cluster().failures();
   const sim::FailureKind kind = combo.kind;
 
-  if (!combo.post_workload) {
+  if (combo.point) {
     // arm() counts relative to the current hit count, so construction-time
     // hits cancel out and `combo.hit` indexes the discovery window directly.
-    const std::string point = combo.point;
-    injector.arm(combo.point, combo.hit,
-                 [fx, kind, point] { fx->crash(kind); throw sim::NodeCrashed(0, kind, point); });
+    const PointId point = *combo.point;
+    injector.arm(point, combo.hit, [fx, kind, point] {
+      fx->crash(kind);
+      throw sim::NodeCrashed(0, kind, point.name());
+    });
   }
 
   std::uint64_t crash_txn = txn_limit;
@@ -256,7 +219,7 @@ ModelChecker::Outcome ModelChecker::explore(const Combo& combo, std::uint64_t tx
   } catch (const sim::NodeCrashed&) {
     fired = true;
   }
-  if (combo.post_workload) {
+  if (!combo.point) {
     fixture->crash(kind);
     fired = true;
     crash_txn = txn_limit;
@@ -271,10 +234,12 @@ ModelChecker::Outcome ModelChecker::explore(const Combo& combo, std::uint64_t tx
   out.crash_txn = crash_txn;
 
   const auto before_recover = injector.snapshot();
-  if (nested_point != nullptr) {
-    const std::string np = *nested_point;
-    injector.arm(np, nested_hit,
-                 [fx, kind, np] { fx->crash(kind); throw sim::NodeCrashed(0, kind, np); });
+  if (nested_point) {
+    const PointId np = *nested_point;
+    injector.arm(np, nested_hit, [fx, kind, np] {
+      fx->crash(kind);
+      throw sim::NodeCrashed(0, kind, np.name());
+    });
   }
   try {
     try {
@@ -300,8 +265,10 @@ ModelChecker::Outcome ModelChecker::explore(const Combo& combo, std::uint64_t tx
   }
 
   const auto db = fixture->db();
-  const bool committed = combo.post_workload || contains(committed_points_, combo.point);
-  if (combo.post_workload || crash_txn == txn_limit) {
+  const bool committed =
+      !combo.point || std::find(committed_points_.begin(), committed_points_.end(),
+                                *combo.point) != committed_points_.end();
+  if (!combo.point || crash_txn == txn_limit) {
     // Every transaction was acknowledged before the crash.
     if (const auto mm = first_mismatch(states_[txn_limit], db)) {
       McViolation v;
@@ -354,14 +321,14 @@ ModelChecker::Outcome ModelChecker::explore(const Combo& combo, std::uint64_t tx
 }
 
 void ModelChecker::record_violation(McResult& result, const Combo& combo,
-                                    const std::string* nested_point, std::uint64_t nested_hit,
+                                    std::optional<PointId> nested_point, std::uint64_t nested_hit,
                                     McViolation violation) {
-  violation.point = combo.post_workload ? kPostWorkload : combo.point;
+  violation.point = combo.point ? std::string_view(combo.point->name()) : kPostWorkload;
   violation.hit = combo.hit;
   violation.kind = combo.kind;
-  if (nested_point != nullptr) {
+  if (nested_point) {
     violation.nested = true;
-    violation.nested_point = *nested_point;
+    violation.nested_point = nested_point->name();
     violation.nested_hit = nested_hit;
   }
   if (options_.minimize && options_.txns > 1) {
@@ -370,7 +337,7 @@ void ModelChecker::record_violation(McResult& result, const Combo& combo,
   result.violations.push_back(std::move(violation));
 }
 
-std::uint64_t ModelChecker::minimize(const Combo& combo, const std::string* nested_point,
+std::uint64_t ModelChecker::minimize(const Combo& combo, std::optional<PointId> nested_point,
                                      std::uint64_t nested_hit, McResult& result) {
   // The workload is deterministic, so any prefix of it is itself a valid
   // workload and states_ already holds its boundary images.
@@ -393,7 +360,6 @@ McResult ModelChecker::run() {
   McResult result;
   result.engine = options_.engine;
   result.workload = spec_.name;
-  result.mode = options_.budget == 0 ? "exhaustive" : "sampled";
   result.txns = options_.txns;
   result.seed = options_.seed;
   result.nested = options_.nested;
@@ -431,29 +397,34 @@ McResult ModelChecker::run() {
 
   // Base state space: every (point, hit, kind) the clean run executes, plus
   // one post-workload durability sweep per kind.
+  const bool filtered = !options_.only_point.empty() || options_.only_hit.has_value();
   std::vector<Combo> base;
+  std::uint64_t filter_matches = 0;
   for (const sim::FailureKind kind : kinds_) {
-    for (const PointHits& row : result.points) {
-      if (!options_.only_point.empty() && options_.only_point != row.point) continue;
+    for (const PointHits& row : hit_rows(result.points)) {
+      if (!options_.only_point.empty() && options_.only_point != row.point.name()) continue;
       for (std::uint64_t hit = 0; hit < row.hits; ++hit) {
         if (options_.only_hit && *options_.only_hit != hit) continue;
-        base.push_back({row.point, hit, kind, false});
+        base.push_back({row.point, hit, kind});
+        ++filter_matches;
       }
     }
     if (options_.only_point.empty() || options_.only_point == kPostWorkload) {
-      base.push_back({"", 0, kind, true});
+      base.push_back({std::nullopt, 0, kind});
     }
   }
-
-  if (options_.budget != 0 && base.size() > options_.budget) {
-    seeded_shuffle(base, options_.seed);
-    result.skipped_budget += base.size() - options_.budget;
-    base.resize(options_.budget);
+  if (filtered && filter_matches == 0 && options_.only_point != kPostWorkload) {
+    // A reproduction filter that matches nothing would explore nothing and
+    // report green: say so instead.
+    throw std::invalid_argument(
+        "ModelChecker: the reproduction filter (point '" + options_.only_point + "'" +
+        (options_.only_hit ? ", hit " + std::to_string(*options_.only_hit) : std::string()) +
+        ") selects none of the schedules discovered on engine '" + options_.engine + "'");
   }
 
   struct NestedJob {
     Combo combo;
-    std::string point;
+    PointId point;
     std::uint64_t hit = 0;
   };
   std::vector<NestedJob> nested_jobs;
@@ -461,19 +432,19 @@ McResult ModelChecker::run() {
 
   for (const Combo& combo : base) {
     ++result.explorations;
-    Outcome out = explore(combo, options_.txns, nullptr, 0, want_windows);
+    Outcome out = explore(combo, options_.txns, std::nullopt, 0, want_windows);
     if (!out.fired) {
       ++result.not_reached;
       continue;
     }
     ++result.crashed;
     if (out.violation) {
-      record_violation(result, combo, nullptr, 0, std::move(*out.violation));
+      record_violation(result, combo, std::nullopt, 0, std::move(*out.violation));
       continue;
     }
     if (want_windows) {
       merge_window(result.recovery_points, out.recovery_window);
-      for (const PointHits& row : out.recovery_window) {
+      for (const PointHits& row : hit_rows(out.recovery_window)) {
         for (std::uint64_t hit = 0; hit < row.hits; ++hit) {
           nested_jobs.push_back({combo, row.point, hit});
         }
@@ -481,33 +452,19 @@ McResult ModelChecker::run() {
     }
   }
 
-  if (options_.budget != 0) {
-    const std::uint64_t remaining =
-        options_.budget > result.explorations ? options_.budget - result.explorations : 0;
-    if (nested_jobs.size() > remaining) {
-      seeded_shuffle(nested_jobs, options_.seed + 1);
-      result.skipped_budget += nested_jobs.size() - remaining;
-      nested_jobs.resize(remaining);
-    }
-  }
-
   for (const NestedJob& job : nested_jobs) {
     ++result.explorations;
     ++result.nested_explorations;
-    Outcome out = explore(job.combo, options_.txns, &job.point, job.hit, false);
+    Outcome out = explore(job.combo, options_.txns, job.point, job.hit, false);
     if (!out.fired) {
       ++result.not_reached;
       continue;
     }
     ++result.crashed;
     if (out.violation) {
-      record_violation(result, job.combo, &job.point, job.hit, std::move(*out.violation));
+      record_violation(result, job.combo, job.point, job.hit, std::move(*out.violation));
     }
   }
-
-  // Recovery-path points only appear during exploration, so they get the
-  // same registry screen as the discovery window.
-  check_registered(result, result.recovery_points);
 
   return result;
 }

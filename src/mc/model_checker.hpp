@@ -24,13 +24,19 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/failure_points.hpp"
 #include "mc/fixture.hpp"
 #include "mc/workload.hpp"
 #include "sim/failure.hpp"
 
 namespace perseas::mc {
+
+/// The name used for the after-the-whole-workload durability sweep in
+/// reports and --point reproduction filters.
+inline constexpr std::string_view kPostWorkload = "post-workload";
 
 struct McOptions {
   std::string engine = "perseas";
@@ -43,9 +49,6 @@ struct McOptions {
   /// 1 = additionally crash once inside every recovery-path point reached
   /// by each base exploration (crash during recovery of a crash).
   unsigned nested = 0;
-  /// 0 = exhaustive; otherwise at most this many explorations, chosen by a
-  /// seeded deterministic shuffle (base combinations take priority).
-  std::uint64_t budget = 0;
   /// Failure kinds to inject; empty = everything the engine's substrate can
   /// recover from (kinds it cannot are silently dropped).
   std::vector<sim::FailureKind> kinds;
@@ -57,8 +60,10 @@ struct McOptions {
   /// nothing (tools/perseas-mc --list-points).
   bool discover_only = false;
   McFixtureOptions fixture;
-  /// Reproduction filters: restrict exploration to one point (and
-  /// optionally one hit index) from a previous report.
+  /// Reproduction filters: restrict exploration to one point (a registry
+  /// name or kPostWorkload) and optionally one hit index from a previous
+  /// report.  run() throws std::invalid_argument when they select no
+  /// discovered schedule.
   std::string only_point;
   std::optional<std::uint64_t> only_hit;
 };
@@ -72,34 +77,31 @@ struct McViolation {
   std::uint64_t nested_hit = 0;
   /// Transaction in flight when the crash fired (== txns for post-workload).
   std::uint64_t txn = 0;
-  /// "atomicity" | "durability" | "recovery" | "hygiene" | "model" |
-  /// "registry" (a notified point missing from core/failure_points.hpp)
+  /// "atomicity" | "durability" | "recovery" | "hygiene" | "model"
   std::string invariant;
   std::string detail;
   /// Shortest workload prefix reproducing this violation (0 = not minimized).
   std::uint64_t minimized_txns = 0;
   /// Flight-recorder narrative of the failing exploration (last events
-  /// before the invariant check fired), oldest-first.  Empty only for
-  /// violations with no execution behind them (registry rows).
+  /// before the invariant check fired), oldest-first.
   std::vector<std::string> timeline;
 };
 
 struct McResult {
   std::string engine;
   std::string workload;
-  std::string mode;  // "exhaustive" | "sampled"
   std::uint64_t txns = 0;
   std::uint64_t seed = 0;
   unsigned nested = 0;
-  /// Discovery snapshot: every failure point the clean workload hits.
-  std::vector<sim::FailureInjector::PointHits> points;
-  /// Union of recovery-path points reached across base explorations.
-  std::vector<sim::FailureInjector::PointHits> recovery_points;
+  /// Discovery window: the hits the clean workload makes on every point.
+  sim::FailureInjector::HitCounts points{};
+  /// Recovery-path hits: per point, the most that any one base
+  /// exploration's recovery made (filled only with nested > 0).
+  sim::FailureInjector::HitCounts recovery_points{};
   std::uint64_t explorations = 0;
   std::uint64_t crashed = 0;
   std::uint64_t not_reached = 0;
   std::uint64_t nested_explorations = 0;
-  std::uint64_t skipped_budget = 0;
   std::uint64_t minimization_runs = 0;
   std::vector<McViolation> violations;
 
@@ -128,11 +130,13 @@ class ModelChecker {
   /// crash escaping this function names the right states_ pair.
   void run_workload(McFixture& fixture, std::uint64_t txn_limit, std::uint64_t& crash_txn);
   void discover(McResult& result);
-  Outcome explore(const Combo& combo, std::uint64_t txn_limit, const std::string* nested_point,
-                  std::uint64_t nested_hit, bool want_recovery_window);
-  void record_violation(McResult& result, const Combo& combo, const std::string* nested_point,
+  Outcome explore(const Combo& combo, std::uint64_t txn_limit,
+                  std::optional<core::points::PointId> nested_point, std::uint64_t nested_hit,
+                  bool want_recovery_window);
+  void record_violation(McResult& result, const Combo& combo,
+                        std::optional<core::points::PointId> nested_point,
                         std::uint64_t nested_hit, McViolation violation);
-  std::uint64_t minimize(const Combo& combo, const std::string* nested_point,
+  std::uint64_t minimize(const Combo& combo, std::optional<core::points::PointId> nested_point,
                          std::uint64_t nested_hit, McResult& result);
 
   McOptions options_;
@@ -140,9 +144,19 @@ class ModelChecker {
   /// states_[t] = reference image after the first t transactions.
   std::vector<std::vector<std::byte>> states_;
   /// Engine capabilities, probed once per run.
-  std::vector<std::string> committed_points_;
+  std::vector<core::points::PointId> committed_points_;
   std::vector<sim::FailureKind> kinds_;
 };
+
+/// One point a window hit, and how often.
+struct PointHits {
+  core::points::PointId point;
+  std::uint64_t hits = 0;
+};
+
+/// The points `hits` counts at least once, in name order (the order
+/// reports list them and the checker explores them).
+[[nodiscard]] std::vector<PointHits> hit_rows(const sim::FailureInjector::HitCounts& hits);
 
 /// Parses "software-crash" / "power-outage" / "hardware-fault" (also the
 /// shorthands "software" / "power" / "hardware").

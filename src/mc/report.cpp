@@ -6,10 +6,10 @@ namespace perseas::mc {
 
 namespace {
 
-obs::Json points_json(const std::vector<sim::FailureInjector::PointHits>& points) {
+obs::Json points_json(const sim::FailureInjector::HitCounts& hits) {
   obs::Json arr = obs::Json::array();
-  for (const auto& row : points) {
-    arr.push(obs::Json::object().set("point", row.point).set("hits", row.hits));
+  for (const PointHits& row : hit_rows(hits)) {
+    arr.push(obs::Json::object().set("point", row.point.name()).set("hits", row.hits));
   }
   return arr;
 }
@@ -28,7 +28,6 @@ obs::Json mc_report_json(const McResult& result) {
   doc.set("schema", kMcReportSchema)
       .set("engine", result.engine)
       .set("workload", result.workload)
-      .set("mode", result.mode)
       .set("nested", static_cast<std::uint64_t>(result.nested))
       .set("seed", result.seed)
       .set("txns", result.txns)
@@ -48,7 +47,6 @@ obs::Json mc_report_json(const McResult& result) {
                              .set("crashed", result.crashed)
                              .set("not_reached", result.not_reached)
                              .set("nested", result.nested_explorations)
-                             .set("skipped_budget", result.skipped_budget)
                              .set("minimization_runs", result.minimization_runs));
 
   obs::Json violations = obs::Json::array();

@@ -12,7 +12,17 @@
 namespace perseas::netram {
 
 Cluster::Cluster(const sim::HardwareProfile& profile, const ClusterConfig& config)
-    : profile_(profile), link_(profile.sci), rng_(config.seed), flight_(clock_) {
+    : profile_(profile),
+      link_(profile.sci),
+      // Every injector firing — any engine, any layer — lands in the
+      // blackbox, under the point's registry index as its string id.  The
+      // observer runs before armed actions, so a crash-injecting action
+      // still leaves its firing on record.
+      failures_([this](core::points::PointId point, std::uint64_t hits) {
+        flight_.record(core::EventKind::kFailurePoint, 0, point.index(), hits);
+      }),
+      rng_(config.seed),
+      flight_(clock_) {
   if (config.node_count == 0) throw std::invalid_argument("Cluster: need at least one node");
   nodes_.reserve(config.node_count);
   for (std::uint32_t i = 0; i < config.node_count; ++i) {
@@ -23,12 +33,6 @@ Cluster::Cluster(const sim::HardwareProfile& profile, const ClusterConfig& confi
     nodes_.push_back(std::make_unique<Node>(i, "node-" + std::to_string(i),
                                             config.arena_bytes_per_node, supply));
   }
-  // Every injector firing — any engine, any layer — lands in the blackbox.
-  // The observer runs before armed actions, so a crash-injecting action
-  // still leaves its firing on record.
-  failures_.set_observer([this](std::string_view point, std::uint64_t hits) {
-    flight_.record(core::EventKind::kFailurePoint, 0, flight_.intern(point), hits);
-  });
   if (const char* path = std::getenv("PERSEAS_BLACKBOX"); path != nullptr && *path != '\0') {
     flight_.set_dump_path(path);
   }

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "core/failure_points.hpp"
 #include "obs/output.hpp"
 
 namespace perseas::obs {
@@ -26,6 +27,37 @@ void put_u64(std::string& out, std::uint64_t v) {
 void put_str(std::string& out, std::string_view s) {
   put_u16(out, static_cast<std::uint16_t>(s.size()));
   out.append(s.data(), s.size());
+}
+
+/// String id `id`: a failure point's registry row below
+/// kFailurePointCount, an interned string above it, "?" past the end.
+std::string_view string_at(const std::vector<std::string>& interned, std::uint64_t id) {
+  if (id < core::points::kFailurePointCount) return core::points::kFailurePoints[id].name;
+  id -= core::points::kFailurePointCount;
+  return id < interned.size() ? std::string_view(interned[id]) : std::string_view("?");
+}
+
+/// One narrative line; tools/perseas-blackbox.py mirrors it exactly.
+std::string render_flight_event(const FlightEvent& e, const std::vector<std::string>& interned) {
+  const core::EventInfo* info = core::find_event(e.kind);
+  std::string line = "@" + std::to_string(e.ts) + "ns ";
+  line += (e.txn != 0) ? "txn=" + std::to_string(e.txn) : std::string("-");
+  line += " ";
+  line += (info != nullptr) ? info->name
+                            : "kind#" + std::to_string(static_cast<unsigned>(e.kind));
+  const char* labels[3] = {info ? info->a : "a", info ? info->b : "b", info ? info->c : "c"};
+  const std::uint64_t words[3] = {e.a, e.b, e.c};
+  for (int i = 0; i < 3; ++i) {
+    std::string_view label = labels[i];
+    if (label.empty()) continue;
+    if (label.front() == '$') {
+      label.remove_prefix(1);
+      line += " " + std::string(label) + "=" + std::string(string_at(interned, words[i]));
+    } else {
+      line += " " + std::string(label) + "=" + std::to_string(words[i]);
+    }
+  }
+  return line;
 }
 
 }  // namespace
@@ -53,17 +85,15 @@ void FlightRecorder::record_locked(core::EventKind kind, std::uint64_t txn,
 
 std::uint64_t FlightRecorder::intern(std::string_view s) {
   sync::LockGuard lock(mu_);
-  for (std::size_t i = 0; i < strings_.size(); ++i) {
-    if (strings_[i] == s) return i;
-  }
-  strings_.emplace_back(s);
-  return strings_.size() - 1;
+  std::size_t i = 0;
+  while (i < strings_.size() && strings_[i] != s) ++i;
+  if (i == strings_.size()) strings_.emplace_back(s);
+  return core::points::kFailurePointCount + i;
 }
 
 std::string FlightRecorder::interned(std::uint64_t id) const {
   sync::LockGuard lock(mu_);
-  if (id >= strings_.size()) return "?";
-  return strings_[id];
+  return std::string(string_at(strings_, id));
 }
 
 void FlightRecorder::set_enabled(bool on) noexcept {
@@ -111,31 +141,6 @@ std::vector<FlightEvent> FlightRecorder::events(std::size_t n) const {
   return events_locked(n);
 }
 
-std::string render_flight_event(const FlightEvent& e,
-                                const std::vector<std::string>& strings) {
-  const core::EventInfo* info = core::find_event(e.kind);
-  std::string line = "@" + std::to_string(e.ts) + "ns ";
-  line += (e.txn != 0) ? "txn=" + std::to_string(e.txn) : std::string("-");
-  line += " ";
-  line += (info != nullptr) ? info->name
-                            : "kind#" + std::to_string(static_cast<unsigned>(e.kind));
-  const char* labels[3] = {info ? info->a : "a", info ? info->b : "b", info ? info->c : "c"};
-  const std::uint64_t words[3] = {e.a, e.b, e.c};
-  for (int i = 0; i < 3; ++i) {
-    std::string_view label = labels[i];
-    if (label.empty()) continue;
-    if (label.front() == '$') {
-      label.remove_prefix(1);
-      const std::string& s =
-          (words[i] < strings.size()) ? strings[words[i]] : "?";
-      line += " " + std::string(label) + "=" + s;
-    } else {
-      line += " " + std::string(label) + "=" + std::to_string(words[i]);
-    }
-  }
-  return line;
-}
-
 std::vector<std::string> FlightRecorder::narrative(std::size_t n) const {
   sync::LockGuard lock(mu_);
   std::vector<std::string> out;
@@ -159,7 +164,10 @@ void FlightRecorder::dump_locked(const std::string& path) const {
     put_str(buf, info.b);
     put_str(buf, info.c);
   }
-  put_u32(buf, static_cast<std::uint32_t>(strings_.size()));
+  // One string table, as the '$' words index it: registry rows, then the
+  // interned strings.
+  put_u32(buf, static_cast<std::uint32_t>(core::points::kFailurePointCount + strings_.size()));
+  for (const core::points::FailurePoint& p : core::points::kFailurePoints) put_str(buf, p.name);
   for (const std::string& s : strings_) put_str(buf, s);
   const auto events = events_locked(0);
   put_u32(buf, static_cast<std::uint32_t>(events.size()));

@@ -20,8 +20,9 @@
 // and, when a dump path is configured (PERSEAS_BLACKBOX=<path> via the
 // cluster), writes the last-N events as a self-contained binary dump that
 // tools/perseas-blackbox.py renders into a human-readable narrative.
-// The dump embeds the event-kind table and an interned string table, so
-// the renderer needs no access to the source tree (it works on a bare CI
+// The dump embeds the event-kind table and one string table (the
+// failure-point registry's names, then the interned strings), so the
+// renderer needs no access to the source tree (it works on a bare CI
 // artifact).  perseas::mc attaches narrative() to every minimized
 // counterexample it reports.
 #pragma once
@@ -69,9 +70,13 @@ class FlightRecorder {
 
   /// Interns `s` and returns its id for use as a '$'-labelled payload
   /// word.  Repeated strings share one id; the table is part of the dump.
+  /// Ids below core::points::kFailurePointCount are the failure-point
+  /// registry's rows (a fault.point event stores PointId::index()), so
+  /// interned ids start above them.
   [[nodiscard]] std::uint64_t intern(std::string_view s);
 
-  /// The interned string for `id` ("?" when out of range).
+  /// The string for `id`: a registry point name or an interned string
+  /// ("?" when out of range).
   [[nodiscard]] std::string interned(std::uint64_t id) const;
 
   /// The recorder is on by default; set_enabled(false) freezes it (for
@@ -129,10 +134,5 @@ class FlightRecorder {
   std::vector<std::string> strings_ PERSEAS_GUARDED_BY(mu_);
   std::string dump_path_ PERSEAS_GUARDED_BY(mu_);
 };
-
-/// Renders one event as the narrative line (shared by narrative() and
-/// tests; `lookup` resolves '$'-labelled words).
-[[nodiscard]] std::string render_flight_event(
-    const FlightEvent& e, const std::vector<std::string>& strings);
 
 }  // namespace perseas::obs

@@ -10,6 +10,7 @@
 // exercised at every intermediate state of a commit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/failure_points.hpp"
 #include "core/sync.hpp"
 
 namespace perseas::sim {
@@ -61,11 +63,12 @@ struct PowerSupply {
 
 /// Scriptable failure points.
 ///
-/// Library code calls notify("perseas.commit.after_flag_set") at each
-/// interesting step (the full set lives in core/failure_points.hpp); a
-/// test arms an action at that point with an optional countdown ("crash
-/// on the 3rd commit").  Actions typically crash a node
-/// and therefore throw NodeCrashed through the library operation.
+/// Library code calls notify(points::kAfterFlagSet) at each interesting
+/// step (the full set lives in core/failure_points.hpp); a test arms an
+/// action at that point with an optional countdown ("crash on the 3rd
+/// commit").  Actions typically crash a node and therefore throw
+/// NodeCrashed through the library operation.  Points are
+/// core::points::PointId, so an unregistered name does not compile.
 ///
 /// Thread-safe: arm lists and hit counts are guarded by mu_, so
 /// instrumented library code on several worker threads can notify()
@@ -73,25 +76,31 @@ struct PowerSupply {
 /// nodes, throw, or re-enter arm()/notify()).
 class FailureInjector {
  public:
+  using PointId = core::points::PointId;
   using Action = std::function<void()>;
+  /// Hits per point, indexed by PointId::index().
+  using HitCounts = std::array<std::uint64_t, core::points::kFailurePointCount>;
 
-  /// Sees every notify() with the point's name and its new hit count,
-  /// *before* any armed action fires (so a crash action still leaves the
-  /// firing on record).  The cluster wires its flight recorder here, which
-  /// is how every engine's injector firings — rvm, vista, netram, perseas
-  /// — land in the blackbox with zero per-engine instrumentation.  Must
-  /// not call back into arm()/notify().
-  using Observer = std::function<void(std::string_view point, std::uint64_t hits)>;
+  /// Sees every notify() with the point and its new hit count, *before*
+  /// any armed action fires (so a crash action still leaves the firing on
+  /// record).  The cluster wires its flight recorder here, which is how
+  /// every engine's injector firings — rvm, vista, netram, perseas — land
+  /// in the blackbox with zero per-engine instrumentation.  Must not call
+  /// back into arm()/notify().
+  using Observer = std::function<void(PointId point, std::uint64_t hits)>;
+
+  /// `observer` is fixed for the injector's life (empty = none).
+  explicit FailureInjector(Observer observer = {}) : observer_(std::move(observer)) {}
 
   /// Arms `action` to run when `point` has been hit `after_hits` more times
   /// (0 = next hit).  Multiple arms on one point all fire.
-  void arm(std::string point, std::uint64_t after_hits, Action action);
+  void arm(PointId point, std::uint64_t after_hits, Action action);
 
   /// Convenience: arms on the next hit.
-  void arm(std::string point, Action action) { arm(std::move(point), 0, std::move(action)); }
+  void arm(PointId point, Action action) { arm(point, 0, std::move(action)); }
 
   /// Disarms everything.  Hit counts are deliberately kept: coverage
-  /// assertions (hits() / seen_points()) keep working after a scenario
+  /// assertions (hits() / snapshot()) keep working after a scenario
   /// disarms its pending actions.  Use reset() for a pristine injector.
   void clear() noexcept {
     sync::LockGuard lock(mu_);
@@ -105,34 +114,27 @@ class FailureInjector {
   void reset() noexcept {
     sync::LockGuard lock(mu_);
     armed_.clear();
-    counts_.clear();
+    counts_ = {};
   }
 
   /// Called by instrumented library code.  Runs (and removes) every armed
   /// action whose countdown expires at this hit.  Cheap when nothing is
   /// armed.
-  void notify(std::string_view point);
-
-  /// Installs (or with an empty function removes) the notify observer.
-  void set_observer(Observer observer);
+  void notify(PointId point);
 
   /// Total hits observed for `point` (for tests asserting coverage).
-  [[nodiscard]] std::uint64_t hits(std::string_view point) const noexcept;
+  [[nodiscard]] std::uint64_t hits(PointId point) const noexcept {
+    sync::LockGuard lock(mu_);
+    return counts_[point.index()];
+  }
 
-  /// All distinct points seen so far; lets exhaustive crash tests iterate
-  /// every commit stage without hard-coding the list.
-  [[nodiscard]] std::vector<std::string> seen_points() const;
-
-  /// One (point, hits) row per distinct point seen so far.
-  struct PointHits {
-    std::string point;
-    std::uint64_t hits = 0;
-  };
-
-  /// Sorted snapshot of every point and its hit count.  Model checkers diff
-  /// two snapshots to get the exact set of stores executed by one window of
-  /// work (a transaction, a recovery pass) without hard-coded point lists.
-  [[nodiscard]] std::vector<PointHits> snapshot() const;
+  /// Every point's hit count.  Model checkers diff two snapshots to get
+  /// the exact set of stores executed by one window of work (a
+  /// transaction, a recovery pass) without hard-coded point lists.
+  [[nodiscard]] HitCounts snapshot() const noexcept {
+    sync::LockGuard lock(mu_);
+    return counts_;
+  }
 
   /// Number of actions still armed (fired actions remove themselves); lets
   /// explorers detect an armed crash whose point was never reached.
@@ -143,21 +145,15 @@ class FailureInjector {
 
  private:
   struct Armed {
-    std::string point;
+    PointId point;
     std::uint64_t fire_at_hit;  // absolute hit index at which to fire
     Action action;
   };
-  struct PointCount {
-    std::string point;
-    std::uint64_t hits = 0;
-  };
 
-  PointCount& count_for(std::string_view point) PERSEAS_REQUIRES(mu_);
-
+  const Observer observer_;
   mutable sync::Mutex mu_;
   std::vector<Armed> armed_ PERSEAS_GUARDED_BY(mu_);
-  std::vector<PointCount> counts_ PERSEAS_GUARDED_BY(mu_);
-  Observer observer_ PERSEAS_GUARDED_BY(mu_);
+  HitCounts counts_ PERSEAS_GUARDED_BY(mu_) = {};
 };
 
 }  // namespace perseas::sim

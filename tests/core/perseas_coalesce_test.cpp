@@ -6,14 +6,14 @@
 // (possibly overlapping) undo-log formats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "check/txn_validator.hpp"
+#include "core/failure_points.hpp"
 #include "core/perseas.hpp"
 
 namespace perseas::core {
@@ -230,7 +230,7 @@ TEST_F(PerseasCoalesceTest, CrashMatrixOverCoalescedCommitIsAtomic) {
   // doomed transaction's window and capture the pre/post images.
   std::vector<std::vector<std::byte>> pre;
   std::vector<std::vector<std::byte>> post;
-  std::map<std::string, std::uint64_t> window;
+  sim::FailureInjector::HitCounts window{};
   {
     netram::Cluster cluster(sim::HardwareProfile::forth_1997(), 3);
     netram::RemoteMemoryServer server(cluster, 1);
@@ -243,25 +243,23 @@ TEST_F(PerseasCoalesceTest, CrashMatrixOverCoalescedCommitIsAtomic) {
       const auto b = db.record(r).bytes();
       pre.emplace_back(b.begin(), b.end());
     }
-    std::map<std::string, std::uint64_t> before;
-    for (const auto& p : cluster.failures().seen_points()) {
-      before[p] = cluster.failures().hits(p);
-    }
+    const auto before = cluster.failures().snapshot();
     run_overlap_txn(db, std::byte{0x80});  // the transaction under test
-    for (const auto& p : cluster.failures().seen_points()) {
-      const std::uint64_t delta = cluster.failures().hits(p) - before[p];
-      if (delta > 0) window[p] = delta;
-    }
+    const auto after = cluster.failures().snapshot();
+    for (std::size_t i = 0; i < window.size(); ++i) window[i] = after[i] - before[i];
     for (std::uint32_t r = 0; r < 2; ++r) {
       const auto b = db.record(r).bytes();
       post.emplace_back(b.begin(), b.end());
     }
   }
-  ASSERT_GE(window.size(), 5u);  // local undo, remote undo, flag, copy, clear
-  ASSERT_GT(window["perseas.commit.after_range_copy"], 1u);  // gathered slices
+  // local undo, remote undo, flag, copy, clear
+  ASSERT_GE(std::count_if(window.begin(), window.end(), [](std::uint64_t n) { return n > 0; }),
+            5);
+  constexpr points::PointId kRangeCopy = "perseas.commit.after_range_copy";
+  ASSERT_GT(window[kRangeCopy.index()], 1u);  // gathered slices
 
-  for (const auto& [point, repeats] : window) {
-    for (std::uint64_t k = 0; k < repeats; ++k) {
+  for (const points::PointId point : points::PointId::all()) {
+    for (std::uint64_t k = 0; k < window[point.index()]; ++k) {
       netram::Cluster cluster(sim::HardwareProfile::forth_1997(), 3);
       netram::RemoteMemoryServer server(cluster, 1);
       Perseas db(cluster, 0, {&server}, {});
@@ -274,18 +272,18 @@ TEST_F(PerseasCoalesceTest, CrashMatrixOverCoalescedCommitIsAtomic) {
         throw sim::NodeCrashed(0, sim::FailureKind::kSoftwareCrash, "matrix");
       });
       EXPECT_THROW(run_overlap_txn(db, std::byte{0x80}), sim::NodeCrashed)
-          << point << " hit " << k;
+          << point.name() << " hit " << k;
       cluster.restart_node(0);
       auto recovered = Perseas::recover(cluster, 0, {&server});
       // Only a crash at/after the flag-clear commit point may expose the
       // new image (single mirror: its clear IS the commit point).
-      const bool committed =
-          point == "perseas.commit.after_flag_clear" || point == "perseas.commit.done";
+      const bool committed = point == points::PointId("perseas.commit.after_flag_clear") ||
+                             point == points::PointId("perseas.commit.done");
       const auto& expect = committed ? post : pre;
       for (std::uint32_t r = 0; r < 2; ++r) {
         const auto b = recovered.record(r).bytes();
         EXPECT_TRUE(std::memcmp(b.data(), expect[r].data(), b.size()) == 0)
-            << "record " << r << " not atomic after crash at " << point << " hit " << k;
+            << "record " << r << " not atomic after crash at " << point.name() << " hit " << k;
       }
     }
   }

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/failure_points.hpp"
 #include "core/perseas.hpp"
 #include "sim/crc32.hpp"
 #include "sim/random.hpp"
@@ -15,7 +16,7 @@
 namespace perseas::core {
 namespace {
 
-constexpr const char* kPoints[] = {
+constexpr points::PointId kPoints[] = {
     "perseas.set_range.after_local_undo", "perseas.set_range.after_remote_undo",
     "perseas.commit.after_flag_set",      "perseas.commit.after_range_copy",
     "perseas.commit.before_flag_clear",
@@ -43,7 +44,7 @@ TEST_P(PerseasFuzz, CrashAnywhereRecoverAnywhere) {
     // Arm a crash at a random point after a random number of hits.
     const bool crash_this_round = rng.chance(0.4);
     if (crash_this_round) {
-      const char* point = kPoints[rng.below(std::size(kPoints))];
+      const points::PointId point = kPoints[rng.below(std::size(kPoints))];
       cluster.failures().arm(point, rng.below(4), [&cluster, home] {
         cluster.crash_node(home, sim::FailureKind::kSoftwareCrash);
         throw sim::NodeCrashed(home, sim::FailureKind::kSoftwareCrash, "fuzz");

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/failure_points.hpp"
 #include "core/perseas.hpp"
 
 namespace perseas::core {
@@ -38,7 +39,7 @@ class PerseasRecoveryTest : public ::testing::Test {
   /// Arms a software crash of node 0 at `point`, runs a transaction that
   /// tries to overwrite the state with "DIRTY", and returns whether the
   /// crash fired.
-  void run_doomed_txn(Perseas& db, const std::string& point) {
+  void run_doomed_txn(Perseas& db, points::PointId point) {
     cluster_.failures().arm(point, [this] {
       cluster_.crash_node(0, sim::FailureKind::kSoftwareCrash);
       throw sim::NodeCrashed(0, sim::FailureKind::kSoftwareCrash, "armed");
@@ -94,13 +95,13 @@ class CrashPointSweep : public PerseasRecoveryTest,
                         public ::testing::WithParamInterface<const char*> {};
 
 TEST_P(CrashPointSweep, RecoversToAtomicState) {
-  const std::string point = GetParam();
+  const points::PointId point = points::PointId::find(GetParam()).value();
   auto& db = make_committed_db();
   run_doomed_txn(db, point);
   ASSERT_TRUE(cluster_.node(0).crashed());
   cluster_.restart_node(0);
   auto recovered = Perseas::recover(cluster_, 0, {&server_});
-  if (point == std::string("perseas.commit.done")) {
+  if (point == points::PointId("perseas.commit.done")) {
     EXPECT_EQ(recovered_prefix(recovered), "DIRTY....");
   } else {
     EXPECT_EQ(recovered_prefix(recovered), "COMMITTED");
@@ -126,7 +127,7 @@ class DoubleCrashSweep : public PerseasRecoveryTest,
                          public ::testing::WithParamInterface<const char*> {};
 
 TEST_P(DoubleCrashSweep, SecondRecoveryCompletes) {
-  const std::string point = GetParam();
+  const points::PointId point = points::PointId::find(GetParam()).value();
   auto& db = make_committed_db();
   run_doomed_txn(db, "perseas.commit.after_flag_set");  // die mid-propagation
   cluster_.restart_node(0);
@@ -297,7 +298,7 @@ TEST_P(RecoveryCrashSweep, CrashDuringRecoveryIsRetriableElsewhere) {
   run_doomed_txn(db, "perseas.commit.after_range_copy");
   ASSERT_TRUE(cluster_.node(0).crashed());
 
-  cluster_.failures().arm(GetParam(), [this] {
+  cluster_.failures().arm(points::PointId::find(GetParam()).value(), [this] {
     cluster_.crash_node(2, sim::FailureKind::kSoftwareCrash);
     throw sim::NodeCrashed(2, sim::FailureKind::kSoftwareCrash, "recovery-crash");
   });

@@ -14,10 +14,10 @@
 namespace perseas::mc {
 namespace {
 
-bool has_point(const std::vector<sim::FailureInjector::PointHits>& points,
-               std::string_view name) {
-  return std::any_of(points.begin(), points.end(),
-                     [&](const auto& row) { return row.point == name; });
+using core::points::PointId;
+
+bool has_point(const sim::FailureInjector::HitCounts& points, PointId point) {
+  return points[point.index()] != 0;
 }
 
 TEST(McWorkload, DebitCreditIsDeterministic) {
@@ -73,8 +73,8 @@ TEST(McDiscovery, FindsCommitPointsOnPerseas) {
 // The tentpole guarantee: exhaustively crashing PERSEAS at every discovered
 // (point, hit, kind) — including once inside every recovery point reached
 // (nested) — finds no violation.  This is the canonical sweep CI runs
-// through tools/perseas-mc (debit-credit, --txns=2 --nested=1
-// --exhaustive, every failure kind), and like check-mc-report.py
+// through tools/perseas-mc (debit-credit, --txns=2 --nested=1, every
+// failure kind), and like check-mc-report.py
 // --registry it must fire every registry row marked mc-reachable for the
 // perseas and netram domains.
 TEST(McExplore, PerseasExhaustiveNestedIsClean) {
@@ -88,16 +88,15 @@ TEST(McExplore, PerseasExhaustiveNestedIsClean) {
                                    ? std::string("?")
                                    : result.violations.front().invariant + ": " +
                                          result.violations.front().detail);
-  EXPECT_EQ(result.mode, "exhaustive");
   EXPECT_GT(result.crashed, 0u);
   EXPECT_GT(result.nested_explorations, 0u);
   const auto domains = registry_domains("perseas");
-  for (const core::points::FailurePoint& row : core::points::kFailurePoints) {
+  for (const PointId point : PointId::all()) {
+    const core::points::FailurePoint& row = point.row();
     if (!row.mc || std::find(domains.begin(), domains.end(), row.engine) == domains.end()) {
       continue;
     }
-    EXPECT_TRUE(has_point(result.points, row.name) ||
-                has_point(result.recovery_points, row.name))
+    EXPECT_TRUE(has_point(result.points, point) || has_point(result.recovery_points, point))
         << "registry row " << row.name << " is mc-reachable but never fired";
   }
 }
@@ -154,14 +153,15 @@ TEST(McExplore, InterleavedRejectsSingleSlotEngines) {
   EXPECT_THROW((void)ModelChecker(options).run(), std::invalid_argument);
 }
 
-// Every comparison engine must also survive its sampled sweep.
-TEST(McExplore, ComparisonEnginesSampledAreClean) {
+// Every comparison engine must also survive its exhaustive nested sweep
+// (the same one CI runs with --registry).
+TEST(McExplore, ComparisonEnginesExhaustiveAreClean) {
   for (const std::string engine : {"rvm-disk", "rvm-rio", "rvm-nvram", "vista"}) {
     McOptions options;
     options.engine = engine;
     options.workload = "synthetic";
     options.txns = 2;
-    options.budget = 40;
+    options.nested = 1;
     const McResult result = ModelChecker(options).run();
     EXPECT_TRUE(result.ok()) << engine << ": "
                              << (result.violations.empty()
@@ -169,7 +169,7 @@ TEST(McExplore, ComparisonEnginesSampledAreClean) {
                                      : result.violations.front().invariant + ": " +
                                            result.violations.front().detail);
     EXPECT_GT(result.crashed, 0u) << engine;
-    EXPECT_EQ(result.mode, "sampled");
+    EXPECT_GT(result.nested_explorations, 0u) << engine;
   }
 }
 
@@ -234,6 +234,43 @@ TEST(McExplore, PointFilterReproducesOneSchedule) {
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.explorations, 1u);
   EXPECT_EQ(result.crashed, 1u);
+}
+
+// A filter that selects no discovered schedule is an error, not a green
+// run that explored nothing: a registered point the workload never reaches
+// (debit-credit never aborts), and a hit past the discovered count.
+TEST(McExplore, PointFilterMatchingNothingThrows) {
+  McOptions options;
+  options.engine = "perseas";
+  options.txns = 2;
+  options.kinds = {sim::FailureKind::kSoftwareCrash};
+  options.only_point = "perseas.abort.done";
+  EXPECT_THROW((void)ModelChecker(options).run(), std::invalid_argument);
+
+  options.only_point = "perseas.commit.after_flag_set";
+  options.only_hit = 99;
+  EXPECT_THROW((void)ModelChecker(options).run(), std::invalid_argument);
+
+  // The post-workload sweep is always there to select.
+  options.only_point = std::string(kPostWorkload);
+  options.only_hit.reset();
+  const McResult result = ModelChecker(options).run();
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.explorations, 1u);
+}
+
+// Reports list points in name order, whatever the registry order.
+TEST(McReport, HitRowsAreInNameOrder) {
+  sim::FailureInjector::HitCounts hits{};
+  hits[PointId("vista.commit.done").index()] = 2;
+  hits[PointId("perseas.set_range.after_local_undo").index()] = 1;
+  hits[PointId("perseas.commit.done").index()] = 3;
+  const auto rows = hit_rows(hits);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_STREQ(rows[0].point.name(), "perseas.commit.done");
+  EXPECT_EQ(rows[0].hits, 3u);
+  EXPECT_STREQ(rows[1].point.name(), "perseas.set_range.after_local_undo");
+  EXPECT_STREQ(rows[2].point.name(), "vista.commit.done");
 }
 
 TEST(McReport, SchemaShape) {

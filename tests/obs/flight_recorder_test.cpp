@@ -1,6 +1,7 @@
 // obs::FlightRecorder: the bounded ring (wraparound and the exact-capacity
-// edge), the golden narrative rendering, the interned string table, and the
-// binary blackbox dump note_anomaly() auto-writes.
+// edge), the golden narrative rendering, the string table (registry rows,
+// then interned strings), and the binary blackbox dump note_anomaly()
+// auto-writes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "core/event_registry.hpp"
+#include "core/failure_points.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/clock.hpp"
 
@@ -17,14 +19,16 @@ namespace perseas::obs {
 namespace {
 
 using core::EventKind;
+using core::points::PointId;
 
 TEST(FlightRecorder, GoldenNarrative) {
   sim::SimClock clock;
   FlightRecorder fr(clock);
   fr.record(EventKind::kTxnBegin, 7, 1);
   clock.advance(150);
-  const std::uint64_t point = fr.intern("perseas.commit.before_flag_clear");
-  fr.record(EventKind::kFailurePoint, 0, point, 3);
+  // A fault.point's $point word is the point's registry index, as the
+  // cluster's injector observer records it.
+  fr.record(EventKind::kFailurePoint, 0, PointId("perseas.commit.before_flag_clear").index(), 3);
   clock.advance(50);
   fr.record(EventKind::kSetRange, 7, 2, 128, 64);
   const std::vector<std::string> expected = {
@@ -84,14 +88,18 @@ TEST(FlightRecorder, DisabledRecorderIsFrozen) {
   EXPECT_EQ(fr.recorded(), 2u);
 }
 
+// Ids below the registry size are registry rows; interned strings get the
+// ids above it, shared by repeats.
 TEST(FlightRecorder, InternSharesIds) {
   sim::SimClock clock;
   FlightRecorder fr(clock);
-  const auto a = fr.intern("perseas.commit.done");
-  const auto b = fr.intern("rvm.force.after_body");
-  EXPECT_EQ(fr.intern("perseas.commit.done"), a);
+  const auto a = fr.intern("connect");
+  const auto b = fr.intern("checksum mismatch");
+  EXPECT_EQ(fr.intern("connect"), a);
   EXPECT_NE(a, b);
-  EXPECT_EQ(fr.interned(a), "perseas.commit.done");
+  EXPECT_EQ(a, core::points::kFailurePointCount);
+  EXPECT_EQ(fr.interned(a), "connect");
+  EXPECT_EQ(fr.interned(PointId("rvm.force.after_body").index()), "rvm.force.after_body");
   EXPECT_EQ(fr.interned(999999), "?");
 }
 

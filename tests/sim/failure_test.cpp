@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace perseas::sim {
 namespace {
+
+using core::points::PointId;
+
+// Injector points are registry rows; any three distinct ones will do.
+constexpr PointId kX = "perseas.commit.after_flag_set";
+constexpr PointId kY = "perseas.commit.done";
+constexpr PointId kNever = "vista.recover.done";
 
 TEST(FailureKind, Names) {
   EXPECT_EQ(to_string(FailureKind::kPowerOutage), "power-outage");
@@ -22,133 +32,152 @@ TEST(NodeCrashed, CarriesContext) {
 
 TEST(FailureInjector, NotifyCountsHits) {
   FailureInjector fi;
-  fi.notify("a");
-  fi.notify("a");
-  fi.notify("b");
-  EXPECT_EQ(fi.hits("a"), 2u);
-  EXPECT_EQ(fi.hits("b"), 1u);
-  EXPECT_EQ(fi.hits("never"), 0u);
+  fi.notify(kX);
+  fi.notify(kX);
+  fi.notify(kY);
+  EXPECT_EQ(fi.hits(kX), 2u);
+  EXPECT_EQ(fi.hits(kY), 1u);
+  EXPECT_EQ(fi.hits(kNever), 0u);
 }
 
 TEST(FailureInjector, ArmFiresOnNextHit) {
   FailureInjector fi;
   int fired = 0;
-  fi.arm("x", [&] { ++fired; });
-  fi.notify("y");
+  fi.arm(kX, [&] { ++fired; });
+  fi.notify(kY);
   EXPECT_EQ(fired, 0);
-  fi.notify("x");
+  fi.notify(kX);
   EXPECT_EQ(fired, 1);
-  fi.notify("x");  // one-shot
+  fi.notify(kX);  // one-shot
   EXPECT_EQ(fired, 1);
 }
 
 TEST(FailureInjector, CountdownSkipsHits) {
   FailureInjector fi;
   int fired = 0;
-  fi.arm("x", 2, [&] { ++fired; });  // fire on the 3rd hit from now
-  fi.notify("x");
-  fi.notify("x");
+  fi.arm(kX, 2, [&] { ++fired; });  // fire on the 3rd hit from now
+  fi.notify(kX);
+  fi.notify(kX);
   EXPECT_EQ(fired, 0);
-  fi.notify("x");
+  fi.notify(kX);
   EXPECT_EQ(fired, 1);
 }
 
 TEST(FailureInjector, CountdownIsRelativeToCurrentHits) {
   FailureInjector fi;
-  fi.notify("x");
-  fi.notify("x");
+  fi.notify(kX);
+  fi.notify(kX);
   int fired = 0;
-  fi.arm("x", 0, [&] { ++fired; });  // next hit, regardless of history
-  fi.notify("x");
+  fi.arm(kX, 0, [&] { ++fired; });  // next hit, regardless of history
+  fi.notify(kX);
   EXPECT_EQ(fired, 1);
 }
 
 TEST(FailureInjector, ThrowingActionIsRemovedBeforeItThrows) {
   FailureInjector fi;
-  fi.arm("x", [] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(fi.notify("x"), std::runtime_error);
+  fi.arm(kX, [] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(fi.notify(kX), std::runtime_error);
   // Re-entering the point after the crash must not re-fire.
-  EXPECT_NO_THROW(fi.notify("x"));
+  EXPECT_NO_THROW(fi.notify(kX));
 }
 
 TEST(FailureInjector, MultipleArmsOnOnePointAllFire) {
   FailureInjector fi;
   int fired = 0;
-  fi.arm("x", [&] { ++fired; });
-  fi.arm("x", [&] { ++fired; });
-  fi.notify("x");
+  fi.arm(kX, [&] { ++fired; });
+  fi.arm(kX, [&] { ++fired; });
+  fi.notify(kX);
   EXPECT_EQ(fired, 2);
 }
 
 TEST(FailureInjector, ClearDisarms) {
   FailureInjector fi;
   int fired = 0;
-  fi.arm("x", [&] { ++fired; });
+  fi.arm(kX, [&] { ++fired; });
   fi.clear();
-  fi.notify("x");
+  fi.notify(kX);
   EXPECT_EQ(fired, 0);
 }
 
 TEST(FailureInjector, ClearKeepsHitCounts) {
   FailureInjector fi;
-  fi.notify("x");
-  fi.notify("x");
-  fi.arm("x", [] {});
+  fi.notify(kX);
+  fi.notify(kX);
+  fi.arm(kX, [] {});
   fi.clear();
-  EXPECT_EQ(fi.hits("x"), 2u);  // documented: clear() disarms only
+  EXPECT_EQ(fi.hits(kX), 2u);  // documented: clear() disarms only
   EXPECT_EQ(fi.armed_count(), 0u);
 }
 
 TEST(FailureInjector, ResetForgetsCountsAndRebasesCountdowns) {
   FailureInjector fi;
-  fi.notify("x");
-  fi.notify("x");
-  fi.arm("x", [] {});
+  fi.notify(kX);
+  fi.notify(kX);
+  fi.arm(kX, [] {});
   fi.reset();
-  EXPECT_EQ(fi.hits("x"), 0u);
+  EXPECT_EQ(fi.hits(kX), 0u);
   EXPECT_EQ(fi.armed_count(), 0u);
-  EXPECT_TRUE(fi.seen_points().empty());
+  EXPECT_EQ(fi.snapshot(), FailureInjector::HitCounts{});
   // A fresh countdown indexes from zero again, as on a new injector.
   int fired = 0;
-  fi.arm("x", 1, [&] { ++fired; });
-  fi.notify("x");
+  fi.arm(kX, 1, [&] { ++fired; });
+  fi.notify(kX);
   EXPECT_EQ(fired, 0);
-  fi.notify("x");
+  fi.notify(kX);
   EXPECT_EQ(fired, 1);
 }
 
+// The snapshot is sorted by registry row: entry p.index() is p's count.
 TEST(FailureInjector, SnapshotIsSortedPerPointCounts) {
   FailureInjector fi;
-  EXPECT_TRUE(fi.snapshot().empty());
-  fi.notify("b");
-  fi.notify("a");
-  fi.notify("b");
-  const auto snap = fi.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].point, "a");
-  EXPECT_EQ(snap[0].hits, 1u);
-  EXPECT_EQ(snap[1].point, "b");
-  EXPECT_EQ(snap[1].hits, 2u);
+  EXPECT_EQ(fi.snapshot(), FailureInjector::HitCounts{});
+  fi.notify(kY);
+  fi.notify(kX);
+  fi.notify(kY);
+  FailureInjector::HitCounts expected{};
+  expected[kX.index()] = 1;
+  expected[kY.index()] = 2;
+  EXPECT_EQ(fi.snapshot(), expected);
 }
 
 TEST(FailureInjector, ArmedCountTracksFiredActions) {
   FailureInjector fi;
-  fi.arm("x", [] {});
-  fi.arm("y", 3, [] {});
+  fi.arm(kX, [] {});
+  fi.arm(kY, 3, [] {});
   EXPECT_EQ(fi.armed_count(), 2u);
-  fi.notify("x");  // fires and removes itself
+  fi.notify(kX);  // fires and removes itself
   EXPECT_EQ(fi.armed_count(), 1u);
 }
 
-TEST(FailureInjector, SeenPointsAreSortedAndUnique) {
-  FailureInjector fi;
-  fi.notify("b");
-  fi.notify("a");
-  fi.notify("b");
-  const auto points = fi.seen_points();
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_EQ(points[0], "a");
-  EXPECT_EQ(points[1], "b");
+// The observer sees every firing with its new hit count, before the armed
+// actions run: a throwing crash action still leaves the firing on record.
+TEST(FailureInjector, ObserverSeesFiringBeforeActions) {
+  std::vector<std::pair<PointId, std::uint64_t>> seen;
+  FailureInjector fi([&](PointId point, std::uint64_t hits) { seen.emplace_back(point, hits); });
+  fi.notify(kY);
+  fi.arm(kX, [&] {
+    EXPECT_EQ(seen.size(), 2u);
+    throw std::runtime_error("crash");
+  });
+  EXPECT_THROW(fi.notify(kX), std::runtime_error);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].first, kY);
+  EXPECT_EQ(seen[1].first, kX);
+  EXPECT_EQ(seen[1].second, 1u);
+}
+
+// A name read from input resolves through the registry at run time.
+TEST(PointId, FindResolvesRegisteredNamesOnly) {
+  const auto found = PointId::find("perseas.commit.after_flag_set");
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(*found, kX);
+  EXPECT_STREQ(found->name(), "perseas.commit.after_flag_set");
+  EXPECT_EQ(found->row().order, 30);
+  EXPECT_FALSE(PointId::find("perseas.commit.after_flag_sett").has_value());
+  EXPECT_EQ(PointId::all().size(), core::points::kFailurePointCount);
+  for (std::size_t i = 0; i < PointId::all().size(); ++i) {
+    EXPECT_EQ(PointId::all()[i].index(), i);
+  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 //
 // Exit codes: 0 = all explored schedules consistent (or self-test caught the
 // seeded bug), 1 = violations found (or self-test failed to find any),
-// 2 = usage / option errors.
+// 2 = usage / option errors (an unregistered --point, or a --point/--hit
+// filter that selects no discovered schedule, included).
 
 #include <cstdint>
 #include <exception>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/failure_points.hpp"
 #include "mc/model_checker.hpp"
 #include "mc/report.hpp"
 #include "mc/workload.hpp"
@@ -34,18 +36,18 @@ an executable reference model.
   --script-file=PATH  workload script for --workload=scripted
   --txns=N            transactions per exploration (default 4)
   --db-size=N         database bytes (default 1024)
-  --seed=N            workload + sampling seed (default 0x1998)
+  --seed=N            workload seed (default 0x1998)
   --nested=N          0 or 1: also crash inside recovery (default 0)
-  --exhaustive        explore every combination (default)
-  --budget=N          explore at most N schedules (deterministic sample)
   --kinds=K[,K...]    software | power | hardware (default: all the engine
                       can recover from)
   --report=PATH       write the perseas-mc/1 JSON report ("-" = stdout)
   --no-minimize       skip counterexample minimization
   --list-points       run discovery only and print the reachable points
   --point=P --hit=H --kind=K
-                      reproduce one schedule from a report ("post-workload"
-                      selects the after-workload durability sweep)
+                      reproduce one schedule from a report (P is a registered
+                      point, or "post-workload" for the after-workload
+                      durability sweep; a filter that selects nothing is a
+                      usage error)
   --selftest          seed the deliberate skip-flag-clear bug and require the
                       checker to find a minimized counterexample
   --help              this text
@@ -89,14 +91,14 @@ std::vector<perseas::sim::FailureKind> parse_kinds(const std::string& list) {
 
 void print_summary(const perseas::mc::McResult& result) {
   std::cout << "perseas-mc: engine=" << result.engine << " workload=" << result.workload
-            << " txns=" << result.txns << " mode=" << result.mode
-            << " nested=" << result.nested << "\n"
-            << "  points discovered: " << result.points.size()
-            << "  recovery points: " << result.recovery_points.size() << "\n"
+            << " txns=" << result.txns << " nested=" << result.nested << "\n"
+            << "  points discovered: " << perseas::mc::hit_rows(result.points).size()
+            << "  recovery points: " << perseas::mc::hit_rows(result.recovery_points).size()
+            << "\n"
             << "  explorations: " << result.explorations << " (crashed " << result.crashed
             << ", not reached " << result.not_reached << ", nested "
-            << result.nested_explorations << ", skipped by budget " << result.skipped_budget
-            << ", minimization " << result.minimization_runs << ")\n";
+            << result.nested_explorations << ", minimization " << result.minimization_runs
+            << ")\n";
   for (const auto& v : result.violations) {
     std::cout << "  VIOLATION [" << v.invariant << "] point=" << v.point << " hit=" << v.hit
               << " kind=" << perseas::sim::to_string(v.kind);
@@ -144,11 +146,6 @@ int main(int argc, char** argv) {
         options.seed = parse_u64(arg, value);
       } else if (arg == "--nested") {
         options.nested = static_cast<unsigned>(parse_u64(arg, value));
-      } else if (arg == "--exhaustive") {
-        options.budget = 0;
-      } else if (arg == "--budget") {
-        options.budget = parse_u64(arg, value);
-        if (options.budget == 0) throw CliError("--budget: must be >= 1 (or use --exhaustive)");
       } else if (arg == "--kinds") {
         options.kinds = parse_kinds(value);
       } else if (arg == "--report") {
@@ -158,6 +155,10 @@ int main(int argc, char** argv) {
       } else if (arg == "--list-points") {
         list_points = true;
       } else if (arg == "--point") {
+        if (value != perseas::mc::kPostWorkload && !perseas::core::points::PointId::find(value)) {
+          throw CliError("--point: '" + value +
+                         "' is not a registered failure point (src/core/failure_points.hpp)");
+        }
         options.only_point = value;
       } else if (arg == "--hit") {
         options.only_hit = parse_u64(arg, value);
@@ -187,10 +188,11 @@ int main(int argc, char** argv) {
     const perseas::mc::McResult result = checker.run();
 
     if (list_points) {
+      const auto rows = perseas::mc::hit_rows(result.points);
       std::cout << "perseas-mc: engine=" << result.engine << " workload=" << result.workload
-                << " — " << result.points.size() << " reachable failure points\n";
-      for (const auto& row : result.points) {
-        std::cout << "  " << row.point << "  x" << row.hits << "\n";
+                << " — " << rows.size() << " reachable failure points\n";
+      for (const auto& row : rows) {
+        std::cout << "  " << row.point.name() << "  x" << row.hits << "\n";
       }
       if (!report_path.empty()) perseas::mc::save_mc_report(result, report_path);
       return result.ok() ? 0 : 1;

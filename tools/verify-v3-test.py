@@ -29,8 +29,7 @@ def main():
         print(__doc__, file=sys.stderr)
         return 2
     mc = sys.argv[1]
-    extra = sys.argv[2:] or ["--engine=perseas", "--txns=1", "--exhaustive",
-                             "--kinds=software"]
+    extra = sys.argv[2:] or ["--engine=perseas", "--txns=1", "--kinds=software"]
 
     with tempfile.TemporaryDirectory(prefix="perseas-verify-v3.") as td:
         report = Path(td) / "mc-report.json"
