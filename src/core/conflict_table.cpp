@@ -50,12 +50,14 @@ std::uint64_t ConflictTable::try_acquire(std::uint64_t txn, std::uint32_t record
                                          std::uint64_t offset, std::uint64_t size) {
   if (size == 0) return 0;  // an empty range claims no bytes
   sync::LockGuard lock(mu_);
+  if (record >= records_.size()) records_.resize(std::size_t{record} + 1);
   std::vector<Claim>& claims = records_[record];
   for (const Claim& c : claims) {
     if (c.owner != txn && ranges_overlap(offset, size, c.offset, c.size)) {
       return c.owner;
     }
   }
+  if (claims.empty()) held_.push_back(record);
   // Fold the new range into the owner's existing claims: absorb every own
   // claim it touches (re-declarations and adjacent extensions), so the
   // claim set stays proportional to the number of *disjoint* regions the
@@ -85,25 +87,28 @@ std::uint64_t ConflictTable::try_acquire(std::uint64_t txn, std::uint32_t record
 
 void ConflictTable::release(std::uint64_t txn) noexcept {
   sync::LockGuard lock(mu_);
-  for (auto it = records_.begin(); it != records_.end();) {
-    auto& claims = it->second;
-    claims.erase(std::remove_if(claims.begin(), claims.end(),
-                                [txn](const Claim& c) { return c.owner == txn; }),
-                 claims.end());
-    it = claims.empty() ? records_.erase(it) : std::next(it);
+  for (std::size_t i = 0; i < held_.size();) {
+    std::vector<Claim>& claims = records_[held_[i]];
+    std::erase_if(claims, [txn](const Claim& c) { return c.owner == txn; });
+    if (claims.empty()) {
+      held_[i] = held_.back();
+      held_.pop_back();
+    } else {
+      ++i;
+    }
   }
 }
 
 bool ConflictTable::empty() const noexcept {
   sync::LockGuard lock(mu_);
-  return records_.empty();
+  return held_.empty();
 }
 
 std::size_t ConflictTable::claims_of(std::uint64_t txn) const noexcept {
   sync::LockGuard lock(mu_);
   std::size_t n = 0;
-  for (const auto& [rec, claims] : records_) {
-    for (const Claim& c : claims) n += c.owner == txn ? 1 : 0;
+  for (const std::uint32_t rec : held_) {
+    for (const Claim& c : records_[rec]) n += c.owner == txn ? 1 : 0;
   }
   return n;
 }

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/errors.hpp"
@@ -96,17 +95,20 @@ class ConflictTable {
     std::uint64_t size = 0;
     std::uint64_t owner = 0;
   };
-  /// Guards the claim map: acquire/release race between concurrently open
-  /// transactions, and first-writer-wins is only meaningful if the
+  /// Guards the claim index: acquire/release race between concurrently
+  /// open transactions, and first-writer-wins is only meaningful if the
   /// overlap-scan-then-insert in acquire() is atomic.
   mutable sync::Mutex mu_;
-  /// Hashed per-record claim index: acquire touches exactly the bucket of
-  /// the record it declares, so the scan under mu_ is O(claims on that
-  /// record) instead of O(records × claims) — the table mutex is the one
-  /// lock every threaded set_range crosses, and a linear record scan there
-  /// would serialize the whole frontend on cold-cache pointer chasing.
-  /// Claims within a record stay unordered (a handful of ranges each).
-  std::unordered_map<std::uint32_t, std::vector<Claim>> records_ PERSEAS_GUARDED_BY(mu_);
+  /// Per-record claims, indexed by record: acquire touches exactly the
+  /// vector of the record it declares, so the scan under mu_ is O(claims
+  /// on that record) — the table mutex is the one lock every threaded
+  /// set_range crosses.  Claims within a record stay unordered (a handful
+  /// of ranges each).  A vector whose last claim is released keeps its
+  /// capacity for the next transaction.
+  std::vector<std::vector<Claim>> records_ PERSEAS_GUARDED_BY(mu_);
+  /// The records whose claim vector is non-empty, in no order: release()
+  /// and empty() visit only these.
+  std::vector<std::uint32_t> held_ PERSEAS_GUARDED_BY(mu_);
 };
 
 }  // namespace perseas::core

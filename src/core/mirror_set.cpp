@@ -118,16 +118,16 @@ void MirrorSet::store_flag(Mirror& m, std::uint64_t txn_id, std::uint64_t undo_b
 std::uint64_t MirrorSet::propagate_ranges(
     Mirror& m, const std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>>& write_set,
     std::span<const LocalRecord> records, const std::function<void()>& after_slice) {
+  sync::LockGuard lock(mu_);
   std::uint64_t mirror_bytes = 0;
   for (const auto& [rec, ranges] : write_set) {
     const auto bytes = record_bytes(records, rec);
-    std::vector<netram::RemoteMemoryClient::GatherSlice> slices;
-    slices.reserve(ranges.size());
+    clear_retaining(slices_);
     for (const auto& r : ranges) {
-      slices.push_back({r.offset, bytes.subspan(r.offset, r.size)});
+      slices_.push_back({r.offset, bytes.subspan(r.offset, r.size)});
       mirror_bytes += r.size;
     }
-    client_->sci_memcpy_writev(m.db[rec], slices, netram::StreamHint::kContinuation,
+    client_->sci_memcpy_writev(m.db[rec], slices_, netram::StreamHint::kContinuation,
                                config_->optimized_sci_memcpy,
                                [&after_slice](std::size_t) { after_slice(); });
     ++stats_->propagate_writes;

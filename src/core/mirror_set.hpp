@@ -108,7 +108,8 @@ class MirrorSet {
 
   /// figure 3, step 3 (coalesced): propagates each record's merged dirty
   /// union to `m`'s database image, gathered per record into shared SCI
-  /// bursts; `after_slice` runs after every slice lands (crash points).
+  /// bursts; `after_slice` runs after every slice lands (crash points) and
+  /// must not call back into the set (mu_ is held across the bursts).
   /// Returns the bytes moved; increments stats' propagate_writes.
   std::uint64_t propagate_ranges(
       Mirror& m, const std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>>& write_set,
@@ -136,11 +137,15 @@ class MirrorSet {
   netram::NodeId local_;
   const PerseasConfig* config_;
   PerseasStats* stats_;
-  /// Guards mirror-set *membership* (add/adopt/rebuild/clear).  The data
-  /// pushes that take a Mirror& operate on one mirror's remote segments
-  /// and are serialized by the caller's transaction locking, not by mu_.
+  /// Guards mirror-set *membership* (add/adopt/rebuild/clear) and the
+  /// gather scratch.  The data pushes that take a Mirror& operate on one
+  /// mirror's remote segments and are serialized by the caller's
+  /// transaction locking, not by mu_.
   mutable sync::Mutex mu_;
   std::vector<Mirror> mirrors_ PERSEAS_GUARDED_BY(mu_);
+  /// propagate_ranges' slices of one record, reused across records and
+  /// commits.
+  std::vector<netram::RemoteMemoryClient::GatherSlice> slices_ PERSEAS_GUARDED_BY(mu_);
 };
 
 }  // namespace perseas::core

@@ -218,7 +218,16 @@ Transaction Perseas::begin_transaction() {
   // Begin order doubles as the policy timestamp (wait-die age, OCC begin
   // snapshot); ids are never reused, so the order is total.
   cc_->on_begin(txn_counter_);
-  open_.push_back(std::make_unique<TxnContext>(txn_counter_));
+  std::unique_ptr<TxnContext> ctx;
+  if (free_.empty()) {
+    free_.reserve(open_.size() + 1);  // the slot close_context returns it to
+    ctx = std::make_unique<TxnContext>(txn_counter_);
+  } else {
+    ctx = std::move(free_.back());
+    free_.pop_back();
+    ctx->reset(txn_counter_);
+  }
+  open_.push_back(std::move(ctx));
   stats_.max_open_txns = std::max<std::uint64_t>(stats_.max_open_txns, open_.size());
   cluster_->flight().record(EventKind::kTxnBegin, txn_counter_, open_.size());
   if (observer_) {
@@ -235,17 +244,21 @@ TxnContext* Perseas::find_context(std::uint64_t txn_id) noexcept {
   return nullptr;
 }
 
-std::vector<const TxnContext*> Perseas::open_contexts() const {
-  std::vector<const TxnContext*> out;
-  out.reserve(open_.size());
-  for (const auto& ctx : open_) out.push_back(ctx.get());
-  return out;
+std::span<const TxnContext* const> Perseas::open_contexts() {
+  clear_retaining(open_view_);
+  for (const auto& ctx : open_) open_view_.push_back(ctx.get());
+  return open_view_;
 }
 
 void Perseas::close_context(std::uint64_t txn_id) noexcept {
   cc_->on_release(txn_id);
   for (auto it = open_.begin(); it != open_.end(); ++it) {
     if ((*it)->id() == txn_id) {
+      // Reset now, not at reuse: a buffer past the retention cap is
+      // released when its transaction closes.  begin_transaction reserved
+      // the free-list slot, so this push cannot allocate.
+      (*it)->reset(0);
+      free_.push_back(std::move(*it));
       open_.erase(it);
       return;
     }
@@ -337,30 +350,31 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
   // were logged by an earlier set_range while still pristine (writes must
   // follow their covering declaration), so a second copy would duplicate
   // the first byte-for-byte.
-  std::vector<ByteRange> fresh = ctx->declare(record, offset, size);
+  clear_retaining(fresh_);
+  ctx->declare(record, offset, size, fresh_);
   if (!config_.coalesce_ranges) {
     // Historical behaviour: one full-width entry per declaration.  The
     // union is still maintained so both modes expose the same write set.
-    fresh.assign(1, ByteRange{offset, size});
-  } else if (fresh.size() != 1 || fresh.front().offset != offset ||
-             fresh.front().size != size) {
+    fresh_.assign(1, ByteRange{offset, size});
+  } else if (fresh_.size() != 1 || fresh_.front().offset != offset ||
+             fresh_.front().size != size) {
     ++stats_.ranges_coalesced;
   }
 
-  std::vector<UndoImage> entries;
+  // The before-images are staged here and join the context below: in
+  // eager mode each right after its remote push, in lazy mode all at once.
+  clear_retaining(staged_);
   {
     const obs::ScopedCost local_scope(cluster_->sinks(), txn_id, "local_undo", "core",
                                       "local");
-    entries.reserve(fresh.size());
     std::uint64_t fresh_bytes = 0;
-    for (const auto& r : fresh) {  // figure 3, step 1
-      UndoImage u;
+    for (const auto& r : fresh_) {  // figure 3, step 1
+      UndoImage& u = staged_.emplace_back(ctx->take_image());
       u.record = record;
       u.offset = r.offset;
       const auto src = record_bytes_locked(record).subspan(r.offset, r.size);
       u.before.assign(src.begin(), src.end());
       fresh_bytes += r.size;
-      entries.push_back(std::move(u));
     }
     if (fresh_bytes > 0) cluster_->charge_local_memcpy(local_, fresh_bytes);
     if (config_.coalesce_ranges && fresh_bytes < size) {
@@ -374,11 +388,11 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
   // every set_range reaching the same protocol points.
   cluster_->failures().notify(points::kAfterLocalUndo);
 
-  if (config_.eager_remote_undo && !entries.empty()) {
+  if (config_.eager_remote_undo && !staged_.empty()) {
     const obs::ScopedCost remote_scope(cluster_->sinks(), txn_id, "remote_undo", "core",
                                        "undo");
     const auto open = open_contexts();
-    for (auto& u : entries) {
+    for (auto& u : staged_) {
       undo_log_.ensure_capacity(mirror_set_, undo_entry_bytes(u.before.size()), open);
       undo_log_.push(mirror_set_, u, txn_id, netram::StreamHint::kNewBurst,
                      observer_.get());  // figure 3, step 2
@@ -388,7 +402,7 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
     }
     stats_.time_remote_undo += remote_scope.elapsed();
   } else {
-    for (auto& u : entries) ctx->undo().push_back(std::move(u));
+    for (auto& u : staged_) ctx->undo().push_back(std::move(u));
   }
 }
 

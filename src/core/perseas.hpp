@@ -338,9 +338,11 @@ class Perseas {
 
   /// The open transaction with this id, or nullptr.
   [[nodiscard]] TxnContext* find_context(std::uint64_t txn_id) noexcept PERSEAS_REQUIRES(mu_);
-  /// Views of every open context in begin order (undo-log growth input).
-  [[nodiscard]] std::vector<const TxnContext*> open_contexts() const PERSEAS_REQUIRES(mu_);
-  /// Drops `txn_id`'s context and conflict-table claims (commit/abort).
+  /// Views of every open context in begin order (undo-log growth input),
+  /// valid until the next call.
+  [[nodiscard]] std::span<const TxnContext* const> open_contexts() PERSEAS_REQUIRES(mu_);
+  /// Drops `txn_id`'s conflict-table claims and moves its context, reset,
+  /// to the free list (commit/abort).
   void close_context(std::uint64_t txn_id) noexcept PERSEAS_REQUIRES(mu_);
 
   // Transaction backends.  The public-facing three are thin anomaly
@@ -392,6 +394,16 @@ class Perseas {
   /// Open transactions in begin order; each owns its TxnContext at a
   /// stable address (Transaction handles name them by id).
   std::vector<std::unique_ptr<TxnContext>> open_ PERSEAS_GUARDED_BY(mu_);
+  /// Closed contexts, reset, for begin_transaction to reuse.  Filled only
+  /// by closes, so it holds at most as many as were ever open at once.
+  std::vector<std::unique_ptr<TxnContext>> free_ PERSEAS_GUARDED_BY(mu_);
+
+  // Scratch reused by every call that fills it, so the steady-state
+  // transaction path allocates nothing: set_range's fresh sub-ranges and
+  // their staged before-images, and the open_contexts() view.
+  std::vector<ByteRange> fresh_ PERSEAS_GUARDED_BY(mu_);
+  std::vector<UndoImage> staged_ PERSEAS_GUARDED_BY(mu_);
+  std::vector<const TxnContext*> open_view_ PERSEAS_GUARDED_BY(mu_);
 
   bool shut_down_ PERSEAS_GUARDED_BY(mu_) = false;
   RecoveryReport recovery_ PERSEAS_GUARDED_BY(mu_);

@@ -1,13 +1,19 @@
 // Per-transaction state of the PERSEAS protocol.
 //
-// Every begin_transaction() allocates one TxnContext; the Transaction
-// handle the caller holds names it by id.  All state that used to live on
-// the Perseas instance while "the" transaction was open — the local undo
-// images, the merged write set, the raw declared-byte counter, and the
-// per-phase simulated timings — lives here instead, so several
-// transactions can be open concurrently on one database.  The context is
-// plain local bookkeeping: the shared remote undo log (core/undo_log.hpp)
-// and the mirror images (core/mirror_set.hpp) stay per-database.
+// Every open transaction owns one TxnContext; the Transaction handle the
+// caller holds names it by id.  All state that used to live on the Perseas
+// instance while "the" transaction was open — the local undo images, the
+// merged write set, the raw declared-byte counter, and the per-phase
+// simulated timings — lives here instead, so several transactions can be
+// open concurrently on one database.  The context is plain local
+// bookkeeping: the shared remote undo log (core/undo_log.hpp) and the
+// mirror images (core/mirror_set.hpp) stay per-database.
+//
+// Contexts are reused, not reallocated: a closed context goes to a free
+// list on its Perseas, and reset() empties it while keeping its buffers
+// (before-images, write-set and read-set ranges) for the next transaction,
+// up to kRetainedBufferBytes.  A transaction whose shape repeats therefore
+// commits without a heap allocation once its first run has sized them.
 #pragma once
 
 #include <cstddef>
@@ -29,18 +35,44 @@ struct UndoImage {
   std::vector<std::byte> before;
 };
 
+/// The most bytes kept for reuse between transactions: by one context's
+/// buffers in all, and by each scratch buffer.  Anything beyond is
+/// released — a context's when its transaction closes, the undo log's
+/// serialized entry right after its push — so one large transaction does
+/// not pin its memory for the life of the database.
+inline constexpr std::size_t kRetainedBufferBytes = 64 << 10;
+
+/// Empties `v`, keeping its capacity unless that exceeds
+/// kRetainedBufferBytes.
+template <typename T>
+void clear_retaining(std::vector<T>& v) noexcept {
+  v.clear();
+  if (v.capacity() * sizeof(T) > kRetainedBufferBytes) std::vector<T>().swap(v);
+}
+
 class TxnContext {
  public:
   explicit TxnContext(std::uint64_t id) : id_(id) {}
 
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
+  /// Empties the context and gives it to transaction `id`.  The undo
+  /// images' buffers and the write and read sets' range vectors are kept
+  /// for reuse, up to kRetainedBufferBytes in all; the rest are released.
+  void reset(std::uint64_t id);
+
+  /// An empty undo image for set_range to fill: one whose buffer an
+  /// earlier transaction of this context left behind, when there is one.
+  /// reset() hands them back in declaration order, so the i-th image of a
+  /// transaction reuses the i-th buffer of the one before it.
+  [[nodiscard]] UndoImage take_image();
+
   /// Merges a set_range declaration into this transaction's per-record
-  /// union and returns the sub-ranges not previously covered (ascending,
-  /// possibly empty) — the bytes that still need before-images.  Also
-  /// advances the raw declared-byte counter.
-  std::vector<ByteRange> declare(std::uint32_t record, std::uint64_t offset,
-                                 std::uint64_t size);
+  /// union and refills `fresh` with the sub-ranges not previously covered
+  /// (ascending, possibly empty) — the bytes that still need
+  /// before-images.  Also advances the raw declared-byte counter.
+  void declare(std::uint32_t record, std::uint64_t offset, std::uint64_t size,
+               std::vector<ByteRange>& fresh);
 
   /// Merges a read_range declaration into this transaction's read set.
   /// Reads are plain bookkeeping — no before-image, no claim, no charge;
@@ -74,12 +106,26 @@ class TxnContext {
   [[nodiscard]] std::uint64_t declared_bytes() const noexcept { return declared_bytes_; }
 
  private:
+  using RecordRanges = std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>>;
+
+  /// `record`'s ranges in `set`, appended (with a pooled vector) on first
+  /// touch.
+  std::vector<ByteRange>& ranges_of(RecordRanges& set, std::uint32_t record);
+  /// Charges `bytes` to the pools' budget; false when they would exceed
+  /// kRetainedBufferBytes (the buffer is then released instead).
+  bool retain(std::size_t bytes) noexcept;
+
   std::uint64_t id_;
   std::vector<UndoImage> undo_;
   std::size_t pushed_entries_ = 0;
-  std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>> write_set_;
-  std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>> read_set_;
+  RecordRanges write_set_;
+  RecordRanges read_set_;
   std::uint64_t declared_bytes_ = 0;
+  /// Buffers a closed transaction left for the next one (take_image,
+  /// ranges_of), and the bytes they hold.
+  std::vector<UndoImage> spare_images_;
+  std::vector<std::vector<ByteRange>> spare_ranges_;
+  std::size_t spare_bytes_ = 0;
 };
 
 }  // namespace perseas::core

@@ -66,17 +66,18 @@ UndoLog::UndoLog(netram::Cluster& cluster, netram::RemoteMemoryClient& client,
       stats_(&stats),
       capacity_(config.undo_capacity) {}
 
-std::vector<std::byte> UndoLog::serialize(const UndoImage& u, std::uint64_t txn_id) const {
+void UndoLog::serialize(const UndoImage& u, std::uint64_t txn_id,
+                        std::vector<std::byte>& out) const {
   UndoEntryHeader hdr;
   hdr.record = u.record;
   hdr.txn_id = txn_id;
   hdr.offset = u.offset;
   hdr.size = u.before.size();
   hdr.checksum = undo_entry_checksum(hdr, u.before);
-  std::vector<std::byte> buf(undo_entry_bytes(u.before.size()));
-  std::memcpy(buf.data(), &hdr, sizeof hdr);
-  std::memcpy(buf.data() + sizeof hdr, u.before.data(), u.before.size());
-  return buf;
+  const std::size_t at = out.size();
+  out.resize(at + undo_entry_bytes(u.before.size()));  // zero padding
+  std::memcpy(out.data() + at, &hdr, sizeof hdr);
+  std::memcpy(out.data() + at + sizeof hdr, u.before.data(), u.before.size());
 }
 
 void UndoLog::ensure_capacity(MirrorSet& mirrors, std::uint64_t needed,
@@ -88,7 +89,9 @@ void UndoLog::ensure_capacity(MirrorSet& mirrors, std::uint64_t needed,
 void UndoLog::push(MirrorSet& mirrors, const UndoImage& u, std::uint64_t txn_id,
                    netram::StreamHint hint, TxnObserver* observer) {
   sync::LockGuard lock(mu_);
-  const auto buf = serialize(u, txn_id);
+  entry_.clear();
+  serialize(u, txn_id, entry_);
+  const std::span<const std::byte> buf = entry_;
   for (auto& m : mirrors.mirrors()) {
     client_->sci_memcpy_write(m.undo, tail_, buf, hint, config_->optimized_sci_memcpy);
     stats_->bytes_undo_remote += buf.size();
@@ -103,6 +106,7 @@ void UndoLog::push(MirrorSet& mirrors, const UndoImage& u, std::uint64_t txn_id,
   }
   tail_ += undo_entry_bytes(u.before.size());
   cluster_->flight().record(EventKind::kUndoPush, txn_id, tail_, buf.size());
+  clear_retaining(entry_);  // a huge entry is not kept past its push
 }
 
 void UndoLog::grow(MirrorSet& mirrors, std::uint64_t needed_bytes,
@@ -113,8 +117,7 @@ void UndoLog::grow(MirrorSet& mirrors, std::uint64_t needed_bytes,
   std::vector<std::byte> all;
   for (const TxnContext* ctx : open) {
     for (std::size_t i = 0; i < ctx->pushed_entries(); ++i) {
-      const auto buf = serialize(ctx->undo()[i], ctx->id());
-      all.insert(all.end(), buf.begin(), buf.end());
+      serialize(ctx->undo()[i], ctx->id(), all);
     }
   }
   if (needed_bytes > std::numeric_limits<std::uint64_t>::max() - all.size()) {

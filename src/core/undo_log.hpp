@@ -100,9 +100,9 @@ class UndoLog {
     tail_ = 0;
   }
 
-  /// Serializes one undo entry (header + padded image) for txn `txn_id`.
-  [[nodiscard]] std::vector<std::byte> serialize(const UndoImage& u,
-                                                 std::uint64_t txn_id) const;
+  /// Appends one serialized undo entry (header + padded image) for txn
+  /// `txn_id` to `out`.
+  void serialize(const UndoImage& u, std::uint64_t txn_id, std::vector<std::byte>& out) const;
 
   /// Grows the log if `needed` more bytes would overflow it, re-logging
   /// the already-pushed entries of every context in `open` (figure-3 order
@@ -194,6 +194,8 @@ class UndoLog {
   std::uint64_t gen_ PERSEAS_GUARDED_BY(mu_) = 0;
   std::uint64_t capacity_ PERSEAS_GUARDED_BY(mu_) = 0;
   std::uint64_t tail_ PERSEAS_GUARDED_BY(mu_) = 0;
+  /// push()'s serialized entry, reused across pushes.
+  std::vector<std::byte> entry_ PERSEAS_GUARDED_BY(mu_);
 };
 
 }  // namespace perseas::core

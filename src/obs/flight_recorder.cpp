@@ -78,9 +78,10 @@ void FlightRecorder::record_locked(core::EventKind kind, std::uint64_t txn,
   if (ring_.size() < capacity_) {
     ring_.push_back(e);
   } else {
-    ring_[recorded_ % capacity_] = e;
+    ring_[head_] = e;
   }
   ++recorded_;
+  if (++head_ == capacity_) head_ = 0;
 }
 
 std::uint64_t FlightRecorder::intern(std::string_view s) {
@@ -126,10 +127,9 @@ std::vector<FlightEvent> FlightRecorder::events_locked(std::size_t n) const {
   const std::size_t want = (n == 0 || n > held) ? held : n;
   std::vector<FlightEvent> out;
   out.reserve(want);
-  // The oldest retained event sits at recorded_ % capacity_ once the ring
-  // has wrapped; before that the ring is a plain prefix array.
-  const std::size_t first =
-      (held < capacity_) ? 0 : static_cast<std::size_t>(recorded_ % capacity_);
+  // The oldest retained event sits at head_ once the ring has wrapped;
+  // before that the ring is a plain prefix array.
+  const std::size_t first = (held < capacity_) ? 0 : head_;
   for (std::size_t i = held - want; i < held; ++i) {
     out.push_back(ring_[(first + i) % capacity_]);
   }

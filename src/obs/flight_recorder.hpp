@@ -130,6 +130,9 @@ class FlightRecorder {
   mutable sync::Mutex mu_;
   std::vector<FlightEvent> ring_ PERSEAS_GUARDED_BY(mu_);
   std::uint64_t recorded_ PERSEAS_GUARDED_BY(mu_) = 0;
+  /// The slot the next event goes to: always recorded_ % capacity_, kept
+  /// as a wrapping index so recording does no 64-bit division.
+  std::size_t head_ PERSEAS_GUARDED_BY(mu_) = 0;
   bool enabled_ PERSEAS_GUARDED_BY(mu_) = true;
   std::vector<std::string> strings_ PERSEAS_GUARDED_BY(mu_);
   std::string dump_path_ PERSEAS_GUARDED_BY(mu_);

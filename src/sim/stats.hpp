@@ -18,6 +18,9 @@ namespace perseas::sim {
 class Summary {
  public:
   void add(double x);
+  /// Makes room for `n` samples in all, so a caller that knows its count
+  /// grows the sample store once.
+  void reserve(std::size_t n) { samples_.reserve(n); }
 
   [[nodiscard]] std::uint64_t count() const noexcept { return static_cast<std::uint64_t>(samples_.size()); }
   [[nodiscard]] double mean() const noexcept { return mean_; }
@@ -46,6 +49,7 @@ class Summary {
 class LatencyRecorder {
  public:
   void record(SimDuration d) { us_.add(to_us(d)); }
+  void reserve(std::size_t n) { us_.reserve(n); }
 
   [[nodiscard]] const Summary& summary() const noexcept { return us_; }
   [[nodiscard]] std::uint64_t count() const noexcept { return us_.count(); }

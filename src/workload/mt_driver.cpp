@@ -134,7 +134,11 @@ PoolResult run_workers(const char* who, TxnEngine& engine, const PoolOptions& o,
   }
 
   // Fold the per-worker tallies on the coordinator, in worker order, so
-  // every aggregate is deterministic.
+  // every aggregate is deterministic.  The latency store is sized once, so
+  // a run's allocations grow with its threads, not its transactions.
+  std::size_t samples = 0;
+  for (const WorkerResult& w : out.workers) samples += w.latencies.size();
+  out.latency.reserve(samples);
   for (const WorkerResult& w : out.workers) {
     out.commits += w.commits;
     out.conflicts += w.conflicts;

@@ -127,6 +127,7 @@ std::uint64_t churn(CcPolicy& policy, Kind kind, std::uint64_t seed, int rounds)
   std::uint64_t next_id = 1;
   std::uint64_t commit_seq = 0;
   std::uint64_t rejections = 0;
+  std::vector<ByteRange> fresh;  // declare()'s out-parameter, unused here
 
   const auto finish = [&](std::size_t i, bool commit) {
     RefTxn& t = open[i];
@@ -191,7 +192,7 @@ std::uint64_t churn(CcPolicy& policy, Kind kind, std::uint64_t seed, int rounds)
       if (!rejection.has_value()) {
         EXPECT_TRUE(holders.empty()) << "policy granted a claim the reference rejects";
         t.claims.emplace_back(record, ByteRange{offset, size});
-        t.ctx->declare(record, offset, size);
+        t.ctx->declare(record, offset, size, fresh);
       } else {
         ++rejections;
         EXPECT_FALSE(holders.empty()) << "policy rejected a claim nobody holds";
@@ -278,6 +279,7 @@ TEST(CcPolicyProperty, ValidatedCommitsNeverLoseUpdates) {
   };
   std::vector<Inc> open;
   std::uint64_t next_id = 1;
+  std::vector<ByteRange> fresh;  // declare()'s out-parameter, unused here
 
   for (int round = 0; round < 4000; ++round) {
     if (open.size() < 4 && (open.empty() || rng.chance(0.5))) {
@@ -297,7 +299,7 @@ TEST(CcPolicyProperty, ValidatedCommitsNeverLoseUpdates) {
     // Declare the write just before committing; a write-claim collision
     // (another open incrementer on the same cell) aborts and retries.
     if (!policy->on_declare(t.id, t.cell, 0, 8).has_value()) {
-      t.ctx->declare(t.cell, 0, 8);
+      t.ctx->declare(t.cell, 0, 8, fresh);
       if (policy->on_validate(*t.ctx) == 0) {
         // Validation passed: the cell cannot have moved since the read.
         ASSERT_EQ(value[t.cell], t.read_value) << "lost update slipped past validation";
@@ -323,11 +325,12 @@ TEST(CcPolicyProperty, ValidatedCommitsNeverLoseUpdates) {
 TEST(CcPolicyProperty, ValidateHistoryIsPrunedToTheOldestOpenBegin) {
   ValidateAtCommit policy;
 
+  std::vector<ByteRange> fresh;  // declare()'s out-parameter, unused here
   const auto commit_writer = [&](std::uint64_t id) {
     policy.on_begin(id);
     TxnContext ctx(id);
     EXPECT_FALSE(policy.on_declare(id, 0, id * 16 % 256, 8).has_value());
-    ctx.declare(0, id * 16 % 256, 8);
+    ctx.declare(0, id * 16 % 256, 8, fresh);
     EXPECT_EQ(policy.on_validate(ctx), 0u);
     policy.on_commit(ctx);
     policy.on_release(id);

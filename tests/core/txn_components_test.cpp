@@ -32,17 +32,19 @@ TEST(TxnContextTest, DeclareReturnsOnlyUncoveredSubranges) {
   TxnContext ctx(7);
   EXPECT_EQ(ctx.id(), 7u);
 
-  const auto first = ctx.declare(0, 100, 50);
-  ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0], (ByteRange{100, 50}));
+  std::vector<ByteRange> fresh;
+  ctx.declare(0, 100, 50, fresh);
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(fresh[0], (ByteRange{100, 50}));
 
   // Fully covered re-declaration: nothing fresh.
-  EXPECT_TRUE(ctx.declare(0, 110, 20).empty());
+  ctx.declare(0, 110, 20, fresh);
+  EXPECT_TRUE(fresh.empty());
 
   // Straddling declaration: only the tail is fresh.
-  const auto tail = ctx.declare(0, 140, 40);
-  ASSERT_EQ(tail.size(), 1u);
-  EXPECT_EQ(tail[0], (ByteRange{150, 30}));
+  ctx.declare(0, 140, 40, fresh);
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(fresh[0], (ByteRange{150, 30}));
 
   // The raw counter counts declared bytes, covered or not.
   EXPECT_EQ(ctx.declared_bytes(), 50u + 20u + 40u);
@@ -50,9 +52,10 @@ TEST(TxnContextTest, DeclareReturnsOnlyUncoveredSubranges) {
 
 TEST(TxnContextTest, WriteSetMergesPerRecordInFirstTouchOrder) {
   TxnContext ctx(1);
-  (void)ctx.declare(2, 0, 10);
-  (void)ctx.declare(0, 50, 10);
-  (void)ctx.declare(2, 10, 10);  // adjacent: coalesces with [0,10)
+  std::vector<ByteRange> fresh;
+  ctx.declare(2, 0, 10, fresh);
+  ctx.declare(0, 50, 10, fresh);
+  ctx.declare(2, 10, 10, fresh);  // adjacent: coalesces with [0,10)
 
   const auto& ws = ctx.write_set();
   ASSERT_EQ(ws.size(), 2u);
@@ -62,6 +65,39 @@ TEST(TxnContextTest, WriteSetMergesPerRecordInFirstTouchOrder) {
   EXPECT_EQ(ws[1].first, 0u);
   ASSERT_EQ(ws[1].second.size(), 1u);
   EXPECT_EQ(ws[1].second[0], (ByteRange{50, 10}));
+}
+
+// reset() hands the context to a new transaction with nothing of the old
+// one visible, but keeps its buffers: the i-th image of the next
+// transaction gets the i-th buffer back, and a buffer past the retention
+// cap is released rather than kept.
+TEST(TxnContextTest, ResetEmptiesStateAndReusesSmallBuffers) {
+  TxnContext ctx(1);
+  std::vector<ByteRange> fresh;
+  ctx.declare(0, 0, 100, fresh);
+  ctx.declare_read(1, 0, 8);
+  for (const std::size_t size : {std::size_t{100}, kRetainedBufferBytes + 1, std::size_t{50}}) {
+    UndoImage u = ctx.take_image();
+    u.before.assign(size, std::byte{1});
+    ctx.undo().push_back(std::move(u));
+  }
+  ctx.set_pushed_entries(3);
+  const std::byte* first = ctx.undo()[0].before.data();
+
+  ctx.reset(2);
+  EXPECT_EQ(ctx.id(), 2u);
+  EXPECT_TRUE(ctx.undo().empty());
+  EXPECT_TRUE(ctx.write_set().empty());
+  EXPECT_TRUE(ctx.read_set().empty());
+  EXPECT_EQ(ctx.pushed_entries(), 0u);
+  EXPECT_EQ(ctx.declared_bytes(), 0u);
+
+  const UndoImage again = ctx.take_image();
+  EXPECT_TRUE(again.before.empty());
+  EXPECT_EQ(again.before.data(), first) << "the first image's buffer comes back first";
+  EXPECT_GE(again.before.capacity(), 100u);
+  EXPECT_GE(ctx.take_image().before.capacity(), 50u);
+  EXPECT_EQ(ctx.take_image().before.capacity(), 0u) << "the oversized buffer was kept";
 }
 
 // --- ConflictTable ----------------------------------------------------
@@ -178,6 +214,13 @@ TEST(ConflictTableTest, ReleaseDropsAllClaimsOfOneTxn) {
   table.release(2);
   table.release(3);
   EXPECT_TRUE(table.empty());
+
+  // A record whose claims all went is claimable again, and tracked again.
+  table.acquire(4, 1, 5, 5);
+  EXPECT_FALSE(table.empty());
+  EXPECT_THROW(table.acquire(5, 1, 0, 10), TxnConflict);
+  table.release(4);
+  EXPECT_TRUE(table.empty());
 }
 
 // --- UndoLog ----------------------------------------------------------
@@ -204,8 +247,7 @@ class UndoLogScanTest : public ::testing::Test {
     u.record = 0;
     u.offset = offset;
     u.before.assign(size, fill);
-    const auto entry = log_.serialize(u, txn_id);
-    bytes_.insert(bytes_.end(), entry.begin(), entry.end());
+    log_.serialize(u, txn_id, bytes_);
   }
 
   MetaHeader header(std::uint64_t propagating_txn) const {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 
 #include "core/failure_points.hpp"
 #include "mc/fixture.hpp"
@@ -70,53 +71,81 @@ TEST(McDiscovery, FindsCommitPointsOnPerseas) {
   EXPECT_TRUE(has_point(result.points, "perseas.commit.done"));
 }
 
-// The tentpole guarantee: exhaustively crashing PERSEAS at every discovered
-// (point, hit, kind) — including once inside every recovery point reached
-// (nested) — finds no violation.  This is the canonical sweep CI runs
-// through tools/perseas-mc (debit-credit, --txns=2 --nested=1, every
-// failure kind), and like check-mc-report.py
-// --registry it must fire every registry row marked mc-reachable for the
-// perseas and netram domains.
-TEST(McExplore, PerseasExhaustiveNestedIsClean) {
-  McOptions options;
-  options.engine = "perseas";
-  options.workload = "debit-credit";
-  options.txns = 2;
-  options.nested = 1;
-  const McResult result = ModelChecker(options).run();
-  EXPECT_TRUE(result.ok()) << (result.violations.empty()
-                                   ? std::string("?")
-                                   : result.violations.front().invariant + ": " +
-                                         result.violations.front().detail);
-  EXPECT_GT(result.crashed, 0u);
-  EXPECT_GT(result.nested_explorations, 0u);
-  const auto domains = registry_domains("perseas");
-  for (const PointId point : PointId::all()) {
-    const core::points::FailurePoint& row = point.row();
-    if (!row.mc || std::find(domains.begin(), domains.end(), row.engine) == domains.end()) {
-      continue;
-    }
-    EXPECT_TRUE(has_point(result.points, point) || has_point(result.recovery_points, point))
-        << "registry row " << row.name << " is mc-reachable but never fired";
-  }
+// The two PERSEAS sweeps CI runs through tools/perseas-mc, each explored
+// once per binary and shared by the tests below.
+//
+// The canonical one crashes PERSEAS at every discovered (point, hit, kind)
+// — including once inside every recovery point reached (nested):
+// debit-credit, --txns=2 --nested=1, every failure kind.
+const McResult& perseas_nested_sweep() {
+  static const McResult result = [] {
+    McOptions options;
+    options.engine = "perseas";
+    options.workload = "debit-credit";
+    options.txns = 2;
+    options.nested = 1;
+    return ModelChecker(options).run();
+  }();
+  return result;
 }
 
 // The interleaved workload keeps transaction pairs open concurrently on
-// two fixture slots: a crash during either open transaction (or either
-// commit) must still recover to a whole-transaction boundary, with the
-// neighbour's interleaved undo entries discarded.
-TEST(McExplore, PerseasInterleavedExhaustiveIsClean) {
-  McOptions options;
-  options.engine = "perseas";
-  options.workload = "interleaved";
-  options.txns = 4;
-  options.kinds = {sim::FailureKind::kSoftwareCrash};
-  const McResult result = ModelChecker(options).run();
-  EXPECT_TRUE(result.ok()) << (result.violations.empty()
-                                   ? std::string("?")
-                                   : result.violations.front().invariant + ": " +
-                                         result.violations.front().detail);
+// two fixture slots (CI also sweeps the other failure kinds; the points
+// reached are the same).
+const McResult& perseas_interleaved_sweep() {
+  static const McResult result = [] {
+    McOptions options;
+    options.engine = "perseas";
+    options.workload = "interleaved";
+    options.txns = 4;
+    options.kinds = {sim::FailureKind::kSoftwareCrash};
+    return ModelChecker(options).run();
+  }();
+  return result;
+}
+
+std::string first_violation(const McResult& result) {
+  return result.violations.empty()
+             ? std::string("?")
+             : result.violations.front().invariant + ": " + result.violations.front().detail;
+}
+
+// The tentpole guarantee: the canonical nested sweep finds no violation.
+TEST(McExplore, PerseasExhaustiveNestedIsClean) {
+  const McResult& result = perseas_nested_sweep();
+  EXPECT_TRUE(result.ok()) << first_violation(result);
   EXPECT_GT(result.crashed, 0u);
+  EXPECT_GT(result.nested_explorations, 0u);
+}
+
+// A crash during either open transaction of the interleaved workload (or
+// either commit) must still recover to a whole-transaction boundary, with
+// the neighbour's interleaved undo entries discarded.
+TEST(McExplore, PerseasInterleavedExhaustiveIsClean) {
+  const McResult& result = perseas_interleaved_sweep();
+  EXPECT_TRUE(result.ok()) << first_violation(result);
+  EXPECT_GT(result.crashed, 0u);
+}
+
+// Like check-mc-report.py --registry over the two sweeps' reports: between
+// them they fire every registry row of the perseas and netram domains
+// marked mc-reachable, and no row marked otherwise (the interleaved
+// sweep's 256-byte undo log is what reaches perseas.undo.after_growth).
+TEST(McExplore, PerseasSweepsCoverExactlyTheMcRows) {
+  const auto fired = [](PointId point) {
+    for (const McResult* r : {&perseas_nested_sweep(), &perseas_interleaved_sweep()}) {
+      if (has_point(r->points, point) || has_point(r->recovery_points, point)) return true;
+    }
+    return false;
+  };
+  const auto domains = registry_domains("perseas");
+  for (const PointId point : PointId::all()) {
+    const core::points::FailurePoint& row = point.row();
+    if (std::find(domains.begin(), domains.end(), row.engine) == domains.end()) continue;
+    EXPECT_EQ(fired(point), row.mc)
+        << "registry row " << row.name << " is marked mc=" << row.mc << " but the sweeps "
+        << (fired(point) ? "fire" : "never fire") << " it";
+  }
 }
 
 // The same interleaved crash sweep must stay clean under every
@@ -134,11 +163,7 @@ TEST(McExplore, PerseasInterleavedIsCleanUnderEveryCcPolicy) {
     options.kinds = {sim::FailureKind::kSoftwareCrash};
     const McResult result = ModelChecker(options).run();
     unsetenv("PERSEAS_CC");
-    EXPECT_TRUE(result.ok()) << policy << ": "
-                             << (result.violations.empty()
-                                     ? std::string("?")
-                                     : result.violations.front().invariant + ": " +
-                                           result.violations.front().detail);
+    EXPECT_TRUE(result.ok()) << policy << ": " << first_violation(result);
     EXPECT_GT(result.crashed, 0u) << policy;
   }
 }
@@ -163,11 +188,7 @@ TEST(McExplore, ComparisonEnginesExhaustiveAreClean) {
     options.txns = 2;
     options.nested = 1;
     const McResult result = ModelChecker(options).run();
-    EXPECT_TRUE(result.ok()) << engine << ": "
-                             << (result.violations.empty()
-                                     ? std::string("?")
-                                     : result.violations.front().invariant + ": " +
-                                           result.violations.front().detail);
+    EXPECT_TRUE(result.ok()) << engine << ": " << first_violation(result);
     EXPECT_GT(result.crashed, 0u) << engine;
     EXPECT_GT(result.nested_explorations, 0u) << engine;
   }

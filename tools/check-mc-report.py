@@ -2,22 +2,24 @@
 """Validate a perseas-mc/1 model-checker report (tools/perseas-mc --report).
 
 Usage:
-    check-mc-report.py [--registry] <report.json>
+    check-mc-report.py [--registry] <report.json> [<report.json> ...]
     check-mc-report.py --expect-violations <report.json>
 
 Checks the stable schema perseas::mc::mc_report_json emits and fails (exit
-1) when the report records any violation.  With --expect-violations the
+1) when a report records any violation.  With --expect-violations the
 polarity flips: the report must contain at least one *minimized* violation —
 this is how CI validates the --selftest artifact, proving the checker can
 actually see bugs rather than just printing green.
 
-With --registry the report is additionally cross-checked against the
-central failure-point registry (src/core/failure_points.hpp): every
-registry row owned by the report's engine and marked mc-reachable must
-appear in the fired window (points plus recovery_points), and every fired
-point must be registered.  Pass it only on full nested sweeps — a
-narrowed one (--point/--hit/--kind filters) legitimately misses points,
-and one without --nested=1 reports no recovery window.
+With --registry the reports, all of one engine, are additionally
+cross-checked against the central failure-point registry
+(src/core/failure_points.hpp) over the union of their fired windows
+(points plus recovery_points): every fired point must be registered, every
+registry row the engine owns that is marked mc-reachable must have fired,
+and no row it owns that is marked mc=false may have fired — such a row is
+stale and must be flipped.  Pass exactly the full sweeps CI runs for the
+engine — a narrowed one (--point/--hit/--kind filters) legitimately misses
+points, and one without --nested=1 reports no recovery window.
 
 Exits 0 on success, 1 with a diagnostic otherwise, 2 on usage errors.
 Stdlib only: runs on any CI python3 without installs.
@@ -88,25 +90,38 @@ def load_registry():
     return registry
 
 
-def check_registry_coverage(doc):
-    engine = doc["engine"]
-    domains = report_domains(doc)
-    if domains is None:
-        fail(f"--registry: no registry domain known for engine {engine!r}")
+def check_registry_coverage(docs):
+    engines = sorted({doc["engine"] for doc in docs})
+    if len(engines) != 1:
+        fail(f"--registry: reports of one engine expected, got {', '.join(engines)}")
+    engine = engines[0]
+    domains = set()
+    for doc in docs:
+        owned = report_domains(doc)
+        if owned is None:
+            fail(f"--registry: no registry domain known for engine {engine!r}")
+        domains |= owned
     registry = load_registry()
-    fired = {row["point"] for row in doc["points"]}
-    fired |= {row["point"] for row in doc.get("recovery_points", [])}
+    fired = set()
+    for doc in docs:
+        fired |= {row["point"] for row in doc["points"]}
+        fired |= {row["point"] for row in doc.get("recovery_points", [])}
 
     unregistered = sorted(p for p in fired if p not in registry)
     if unregistered:
         fail(f"fired point(s) missing from the registry: {', '.join(unregistered)}")
 
-    expected = {p for p, (eng, mc) in registry.items() if eng in domains and mc}
+    owned = {p: mc for p, (eng, mc) in registry.items() if eng in domains}
+    expected = {p for p, mc in owned.items() if mc}
     never_fired = sorted(expected - fired)
     if never_fired:
         fail(f"registry marks {len(never_fired)} point(s) mc-reachable for "
-             f"engine {engine} but the sweep never fired them: "
+             f"engine {engine} but the sweeps never fired them: "
              f"{', '.join(never_fired)}")
+    stale = sorted(p for p in fired if p in owned and not owned[p])
+    if stale:
+        fail(f"registry marks {len(stale)} point(s) mc=false for engine {engine} "
+             f"but the sweeps fired them (flip the row): {', '.join(stale)}")
     return len(expected)
 
 
@@ -213,18 +228,21 @@ def main():
             print(__doc__, file=sys.stderr)
             sys.exit(2)
         args = args[1:]
-    if len(args) != 1 or (expect_violations and registry):
+    if not args or (expect_violations and (registry or len(args) != 1)):
         print(__doc__, file=sys.stderr)
         sys.exit(2)
 
-    text = ci_json.read_text("check-mc-report", args[0])
-    try:
-        doc = check(json.loads(text))
-    except json.JSONDecodeError as e:
-        fail(f"invalid JSON: {e}")
+    docs = []
+    for path in args:
+        text = ci_json.read_text("check-mc-report", path)
+        try:
+            docs.append(check(json.loads(text)))
+        except json.JSONDecodeError as e:
+            fail(f"{path}: invalid JSON: {e}")
 
-    nviol = len(doc["violations"])
     if expect_violations:
+        doc = docs[0]
+        nviol = len(doc["violations"])
         if nviol == 0:
             fail("expected violations (self-test artifact) but the report is clean")
         if not any(v["minimized_txns"] >= 1 for v in doc["violations"]):
@@ -232,17 +250,19 @@ def main():
         print(f"check-mc-report: OK: engine={doc['engine']} seeded bug caught "
               f"({nviol} violation(s), minimized)")
         return
-    if nviol != 0:
-        worst = doc["violations"][0]
-        fail(f"{nviol} violation(s); first: [{worst['invariant']}] "
-             f"point={worst['point']} hit={worst['hit']} kind={worst['kind']} "
-             f"— {worst['detail']}")
-    covered = ""
+    for path, doc in zip(args, docs):
+        nviol = len(doc["violations"])
+        if nviol != 0:
+            worst = doc["violations"][0]
+            fail(f"{path}: {nviol} violation(s); first: [{worst['invariant']}] "
+                 f"point={worst['point']} hit={worst['hit']} kind={worst['kind']} "
+                 f"— {worst['detail']}")
+        print(f"check-mc-report: OK: engine={doc['engine']} workload={doc['workload']} "
+              f"points={len(doc['points'])} explorations={doc['exploration']['total']} "
+              f"(nested {doc['exploration']['nested']})")
     if registry:
-        covered = f" registry-covered={check_registry_coverage(doc)}"
-    print(f"check-mc-report: OK: engine={doc['engine']} "
-          f"points={len(doc['points'])} explorations={doc['exploration']['total']} "
-          f"(nested {doc['exploration']['nested']}){covered}")
+        print(f"check-mc-report: OK: engine={docs[0]['engine']} reports={len(docs)} "
+              f"registry-covered={check_registry_coverage(docs)}")
 
 
 if __name__ == "__main__":
