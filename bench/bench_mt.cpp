@@ -14,7 +14,10 @@
 // same simulated work per transaction as the serial one, (2) the >1.5x
 // speedup floor at 4 threads, and (3) exact cost-ledger conservation
 // (sum(ledger) == shared clock delta == sum of worker busy time) with all
-// charges flowing through thread-local clock fronts.
+// charges flowing through thread-local clock fronts.  The conflicting
+// cells run once with a ledger attached and once without, so each row
+// says which ("ledger": true|false) and the conflict counts of the two
+// can be compared: an observer must not change what it observes.
 //
 // With threads > 1 the exact numbers are NOT bit-deterministic: the shared
 // undo log allocates in arrival order, so each transaction's remote undo
@@ -48,21 +51,23 @@ workload::DebitCreditOptions bank_options() {
 
 struct MtRun {
   workload::PoolResult result;
+  bool ledger = false;
   std::uint64_t clock_delta_ns = 0;
   std::uint64_t ledger_ns = 0;
 };
 
-// One measured run on a fresh lab.  With --trace every worker records its
-// scopes on its own lane of the run's track.
+// One measured run on a fresh lab, with a cost ledger attached or not.
+// With --trace every worker records its scopes on its own lane of the
+// run's track.
 MtRun run_threads(bench::Harness& harness, std::uint32_t threads, std::uint64_t txns_per_thread,
-                  std::uint64_t conflict_every) {
+                  std::uint64_t conflict_every, bool with_ledger) {
   const auto o = bank_options();
   workload::LabOptions lo;
   lo.db_size = workload::DebitCredit::required_db_size(o);
   lo.perseas.undo_capacity = 4 << 20;
   lo.trace = harness.trace();
   lo.trace_label = "mt threads=" + std::to_string(threads) +
-                   (conflict_every != 0 ? " conflict" : "");
+                   (conflict_every != 0 ? " conflict" : "") + (with_ledger ? "" : " no-ledger");
   workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
   workload::DebitCredit bank(lab.engine(), o);
   bank.load();
@@ -78,7 +83,7 @@ MtRun run_threads(bench::Harness& harness, std::uint32_t threads, std::uint64_t 
   }
 
   obs::CostLedger ledger;
-  lab.cluster().set_ledger(&ledger);
+  if (with_ledger) lab.cluster().set_ledger(&ledger);
   const sim::SimTime attach = lab.cluster().clock().now();
 
   workload::MtOptions mo;
@@ -89,6 +94,7 @@ MtRun run_threads(bench::Harness& harness, std::uint32_t threads, std::uint64_t 
 
   MtRun run;
   run.result = workload::run_mt_debit_credit(lab.engine(), bank, mo);
+  run.ledger = with_ledger;
   run.clock_delta_ns = static_cast<std::uint64_t>(lab.cluster().clock().now() - attach);
   run.ledger_ns = static_cast<std::uint64_t>(ledger.total_ns());
   lab.cluster().set_ledger(nullptr);
@@ -100,7 +106,7 @@ MtRun run_threads(bench::Harness& harness, std::uint32_t threads, std::uint64_t 
 
 bool check_conservation(const char* where, const MtRun& run) {
   bool ok = true;
-  if (run.ledger_ns != run.clock_delta_ns) {
+  if (run.ledger && run.ledger_ns != run.clock_delta_ns) {
     std::fprintf(stderr,
                  "bench_mt: LEDGER CONSERVATION VIOLATED (%s): sum(ledger)=%llu ns but the "
                  "shared clock advanced %llu ns\n",
@@ -127,7 +133,7 @@ void print_scaling(bench::Harness& harness, bool& ok) {
   const std::uint64_t txns_per_thread = harness.quick() ? 250 : 2'500;
   double base_tps = 0.0;
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    const MtRun run = run_threads(harness, threads, txns_per_thread, 0);
+    const MtRun run = run_threads(harness, threads, txns_per_thread, 0, true);
     if (!check_conservation("disjoint", run)) ok = false;
     if (run.result.conflicts != 0) {
       std::fprintf(stderr, "bench_mt: disjoint partitions conflicted (%llu)\n",
@@ -148,6 +154,7 @@ void print_scaling(bench::Harness& harness, bool& ok) {
                 sim::to_us(run.result.makespan_ns), speedup);
     harness.add_row(obs::Json::object()
                         .set("mode", "disjoint")
+                        .set("ledger", true)
                         .set("threads", static_cast<std::uint64_t>(threads))
                         .set("txns_per_thread", txns_per_thread)
                         .set("txns", run.result.commits)
@@ -169,37 +176,41 @@ void print_scaling(bench::Harness& harness, bool& ok) {
 void print_conflicts(bench::Harness& harness, bool& ok) {
   bench::print_header("Multi-threaded debit-credit: cross-thread first-writer-wins",
                       "workers 1..N-1 periodically raid partition 0 and lose");
-  std::printf("%16s %10s %12s %14s %12s\n", "conflict every", "txns", "us/txn", "txns/s",
-              "conflicts");
+  std::printf("%16s %8s %10s %12s %14s %12s\n", "conflict every", "ledger", "txns", "us/txn",
+              "txns/s", "conflicts");
   const std::uint64_t txns_per_thread = harness.quick() ? 250 : 2'500;
   for (const std::uint64_t every : {16ull, 4ull}) {
-    const MtRun run = run_threads(harness, 4, txns_per_thread, every);
-    if (!check_conservation("conflicting", run)) ok = false;
-    std::printf("%16llu %10llu %12.2f %14.0f %12llu\n",
-                static_cast<unsigned long long>(every),
-                static_cast<unsigned long long>(run.result.commits),
-                run.result.latency.mean_us(), run.result.txns_per_second(),
-                static_cast<unsigned long long>(run.result.conflicts));
-    harness.add_row(obs::Json::object()
-                        .set("mode", "conflicting")
-                        .set("threads", std::uint64_t{4})
-                        .set("conflict_every", every)
-                        .set("txns_per_thread", txns_per_thread)
-                        .set("txns", run.result.commits)
-                        .set("conflicts", run.result.conflicts)
-                        .set("mean_us", run.result.latency.mean_us())
-                        .set("txns_per_second", run.result.txns_per_second())
-                        .set("makespan_ns", static_cast<std::uint64_t>(run.result.makespan_ns))
-                        .set("total_work_ns",
-                             static_cast<std::uint64_t>(run.result.total_work_ns))
-                        .set("clock_delta_ns", run.clock_delta_ns)
-                        .set("speedup", 0.0));
+    for (const bool with_ledger : {true, false}) {
+      const MtRun run = run_threads(harness, 4, txns_per_thread, every, with_ledger);
+      if (!check_conservation("conflicting", run)) ok = false;
+      std::printf("%16llu %8s %10llu %12.2f %14.0f %12llu\n",
+                  static_cast<unsigned long long>(every), with_ledger ? "on" : "off",
+                  static_cast<unsigned long long>(run.result.commits),
+                  run.result.latency.mean_us(), run.result.txns_per_second(),
+                  static_cast<unsigned long long>(run.result.conflicts));
+      harness.add_row(obs::Json::object()
+                          .set("mode", "conflicting")
+                          .set("ledger", with_ledger)
+                          .set("threads", std::uint64_t{4})
+                          .set("conflict_every", every)
+                          .set("txns_per_thread", txns_per_thread)
+                          .set("txns", run.result.commits)
+                          .set("conflicts", run.result.conflicts)
+                          .set("mean_us", run.result.latency.mean_us())
+                          .set("txns_per_second", run.result.txns_per_second())
+                          .set("makespan_ns",
+                               static_cast<std::uint64_t>(run.result.makespan_ns))
+                          .set("total_work_ns",
+                               static_cast<std::uint64_t>(run.result.total_work_ns))
+                          .set("clock_delta_ns", run.clock_delta_ns)
+                          .set("speedup", 0.0));
+    }
   }
   std::printf("\nanchor: the main thread holds a claim on branch 0's row, so every\n"
-              "        raid loses: conflicts >= (threads - 1) x floor(txns / every).\n"
-              "        A loss costs one abort plus a fresh disjoint retry; commits\n"
-              "        always reach threads x txns and the balance invariants hold\n"
-              "        in every cell.\n");
+              "        raid loses: conflicts >= (threads - 1) x floor(txns / every),\n"
+              "        with the ledger attached and without.  A loss costs one\n"
+              "        abort plus a fresh disjoint retry; commits always reach\n"
+              "        threads x txns and the balance invariants hold in every cell.\n");
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ std::optional<CcRejection> WaitDie::on_declare(std::uint64_t txn, std::uint32_t 
 
 void ValidateAtCommit::on_begin(std::uint64_t txn) {
   sync::LockGuard lock(mu_);
-  begin_seq_[txn] = commit_seq_;
+  begin_seq_.push_back(BeginSnapshot{txn, commit_seq_});
 }
 
 std::optional<CcRejection> ValidateAtCommit::on_declare(std::uint64_t txn, std::uint32_t record,
@@ -82,8 +82,9 @@ std::optional<CcRejection> ValidateAtCommit::on_declare(std::uint64_t txn, std::
 std::uint64_t ValidateAtCommit::on_validate(const TxnContext& ctx) {
   sync::LockGuard lock(mu_);
   if (ctx.read_set().empty()) return 0;
-  const auto it = begin_seq_.find(ctx.id());
-  const std::uint64_t begin = it != begin_seq_.end() ? it->second : 0;
+  const auto it = std::find_if(begin_seq_.begin(), begin_seq_.end(),
+                               [&ctx](const BeginSnapshot& b) { return b.txn == ctx.id(); });
+  const std::uint64_t begin = it != begin_seq_.end() ? it->seq : 0;
   // Backward validation: every write set committed after this transaction
   // began must miss its read set.  History is commit-ordered, so scan the
   // suffix newer than the begin snapshot.
@@ -96,25 +97,39 @@ std::uint64_t ValidateAtCommit::on_validate(const TxnContext& ctx) {
 
 void ValidateAtCommit::on_commit(const TxnContext& ctx) {
   sync::LockGuard lock(mu_);
+  end_locked(ctx.id());
   if (!ctx.write_set().empty()) {
-    history_.push_back(CommittedWrites{++commit_seq_, ctx.id(), ctx.write_set()});
+    ++commit_seq_;
+    // Every transaction still open began before this commit and may
+    // validate against it; one that begins later never will.  With none
+    // open the snapshot would be pruned at once, so it is not taken.
+    if (!begin_seq_.empty()) {
+      history_.push_back(CommittedWrites{commit_seq_, ctx.id(), ctx.write_set()});
+    }
   }
-  begin_seq_.erase(ctx.id());
   prune_locked();
 }
 
 void ValidateAtCommit::on_release(std::uint64_t txn) noexcept {
   table_.release(txn);
   sync::LockGuard lock(mu_);
-  begin_seq_.erase(txn);
+  end_locked(txn);
   prune_locked();
+}
+
+void ValidateAtCommit::end_locked(std::uint64_t txn) noexcept {
+  const auto it = std::find_if(begin_seq_.begin(), begin_seq_.end(),
+                               [txn](const BeginSnapshot& b) { return b.txn == txn; });
+  if (it == begin_seq_.end()) return;
+  *it = begin_seq_.back();
+  begin_seq_.pop_back();
 }
 
 void ValidateAtCommit::prune_locked() {
   // Snapshots at or below every open transaction's begin point can never
   // be consulted again.  With no transaction open the whole history drops.
   std::uint64_t min_begin = commit_seq_;
-  for (const auto& [txn, seq] : begin_seq_) min_begin = std::min(min_begin, seq);
+  for (const BeginSnapshot& b : begin_seq_) min_begin = std::min(min_begin, b.seq);
   history_.erase(std::remove_if(history_.begin(), history_.end(),
                                 [min_begin](const CommittedWrites& h) {
                                   return h.seq <= min_begin;

@@ -35,7 +35,6 @@
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/conflict_table.hpp"
@@ -154,7 +153,10 @@ class WaitDie final : public CcPolicy {
 /// set committed since this transaction began.  History snapshots are
 /// pruned to the oldest open transaction's begin point, so the memory held
 /// is proportional to committed-write-set bytes within the concurrency
-/// window, not the run length.
+/// window, not the run length.  A commit with no other transaction open
+/// records no snapshot at all, since nothing could validate against it,
+/// and the begin snapshots keep their storage: a serial workload
+/// allocates nothing here.
 class ValidateAtCommit final : public CcPolicy {
  public:
   [[nodiscard]] std::string_view name() const noexcept override { return "validate"; }
@@ -183,6 +185,14 @@ class ValidateAtCommit final : public CcPolicy {
     std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>> write_set;
   };
 
+  /// An open transaction and commit_seq_ at its begin.
+  struct BeginSnapshot {
+    std::uint64_t txn = 0;
+    std::uint64_t seq = 0;
+  };
+
+  /// Drops `txn`'s begin snapshot, if it has one.
+  void end_locked(std::uint64_t txn) noexcept PERSEAS_REQUIRES(mu_);
   void prune_locked() PERSEAS_REQUIRES(mu_);
 
   ConflictTable table_;
@@ -192,8 +202,8 @@ class ValidateAtCommit final : public CcPolicy {
   /// directly).
   mutable sync::Mutex mu_;
   std::uint64_t commit_seq_ PERSEAS_GUARDED_BY(mu_) = 0;
-  /// txn id -> commit_seq_ at its begin (erased at commit/release).
-  std::unordered_map<std::uint64_t, std::uint64_t> begin_seq_ PERSEAS_GUARDED_BY(mu_);
+  /// One per open transaction, unordered (erased at commit/release).
+  std::vector<BeginSnapshot> begin_seq_ PERSEAS_GUARDED_BY(mu_);
   /// Commit-ordered snapshots, pruned below min(begin_seq_).
   std::vector<CommittedWrites> history_ PERSEAS_GUARDED_BY(mu_);
 };

@@ -30,23 +30,37 @@
 // simulated traffic of its own; with no ledger installed the clock hook
 // is a null-pointer check and runs are bit-for-bit cost-identical.
 //
-// Threading: the ledger is one shared instance behind one mutex, and the
-// scope stack is the live ScopedCost guards themselves.  A scope opened
-// with a ledger links itself into its thread's chain (a thread_local
-// pointer to the innermost scope, each scope pointing at its parent) and
-// unlinks as it closes, so a charge books to the innermost scope the
-// *charging* thread has open on this ledger — on a worker behind a
-// sim::ThreadClock and on a plain std::thread alike.  A hashed index finds
-// the scope's row, so no charge scans the rows.  Rows keep the scope's
-// names after it closes: phase, layer and channel must be string literals.
-// The conservation law survives threads because the clock's total is
-// itself the sum of every thread's charges (see sim::ThreadClock).
+// Threading: the scope stack is the live ScopedCost guards themselves.  A
+// scope opened with a ledger links itself into its thread's chain (a
+// thread_local pointer to the innermost scope, each scope pointing at its
+// parent) and unlinks as it closes, so a charge books to the innermost
+// scope the *charging* thread has open on this ledger — on a worker
+// behind a sim::ThreadClock and on a plain std::thread alike.
+//
+// A charge takes no lock and hashes no string, and it allocates only when
+// its thread's rows outgrow their storage, which doubles.  Each charging
+// thread books into its own shard of rows, which the ledger owns.  The
+// thread finds its shard through a one-entry thread_local cache keyed by
+// the ledger's serial number (never by address, so a ledger built where
+// another died cannot inherit its shards); only a cache miss takes the
+// ledger's mutex.  The scope remembers its row at its first charge, so
+// every later charge in it is one add.  The first finds the row through
+// the shard's flat index on the txn id, then among that transaction's few
+// rows by the names' addresses.  Rows keep the scope's names after it
+// closes: phase, layer and channel must be string literals.
+//
+// Reads (entries, totals, by_phase, to_json) merge the shards under the
+// mutex, summing equal keys, so every key is one row.  They must run
+// after the charging threads have joined (or on the only charging
+// thread); every caller reads a finished run.  The conservation law
+// survives threads because the clock's total is itself the sum of every
+// thread's charges (see sim::ThreadClock).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -77,7 +91,8 @@ struct CostEntry {
 
 class CostLedger final : public sim::SimClock::ChargeObserver {
  public:
-  CostLedger() = default;
+  CostLedger();
+  ~CostLedger() override;
   CostLedger(const CostLedger&) = delete;
   CostLedger& operator=(const CostLedger&) = delete;
 
@@ -89,7 +104,10 @@ class CostLedger final : public sim::SimClock::ChargeObserver {
   /// data movers; control RPCs move no payload bytes).
   void add_bytes(std::uint64_t n) noexcept;
 
-  /// Rows in first-charge order.
+  /// Rows in first-charge order, one per key: each thread's rows in the
+  /// order it first charged them, threads in the order they first charged
+  /// this ledger.  Like every read below, call it only once the threads
+  /// that charged have joined.
   [[nodiscard]] std::vector<CostEntry> entries() const;
 
   /// Conservation left-hand side: total nanoseconds across every row.
@@ -106,19 +124,33 @@ class CostLedger final : public sim::SimClock::ChargeObserver {
   [[nodiscard]] Json to_json() const;
 
  private:
-  struct KeyHash {
-    [[nodiscard]] std::size_t operator()(const CostKey& key) const noexcept;
-  };
+  /// One thread's rows; defined in cost_ledger.cpp.
+  struct Shard;
 
   /// The row a charge from the calling thread books to: that of the
   /// thread's innermost scope on this ledger, else the root row.  Created
   /// on first charge.
-  [[nodiscard]] CostEntry& current_row() PERSEAS_REQUIRES(mu_);
+  [[nodiscard]] CostEntry& current_row();
+  /// The calling thread's shard, created on its first charge.
+  [[nodiscard]] Shard& local_shard();
+  [[nodiscard]] Shard& attach_shard() PERSEAS_EXCLUDES(mu_);
+  /// Every shard's rows, equal keys summed (see entries()).
+  [[nodiscard]] std::vector<CostEntry> merged() const PERSEAS_REQUIRES(mu_);
 
+  /// The calling thread's shard of the ledger it charged last.
+  struct LocalShard {
+    std::uint64_t ledger = 0;  ///< that ledger's serial_ (0: none yet)
+    Shard* shard = nullptr;
+  };
+  static thread_local LocalShard local_;
+
+  /// Distinct for every ledger the process builds: the key of the
+  /// thread-local shard cache and of each scope's cached row.
+  const std::uint64_t serial_;
   mutable sync::Mutex mu_;
-  std::vector<CostEntry> entries_ PERSEAS_GUARDED_BY(mu_);
-  /// Row of each key, by position in entries_.
-  std::unordered_map<CostKey, std::size_t, KeyHash> index_ PERSEAS_GUARDED_BY(mu_);
+  /// In the order threads first charged.  The charge path never reads
+  /// this vector; each thread reaches its own shard through local_.
+  std::vector<std::unique_ptr<Shard>> shards_ PERSEAS_GUARDED_BY(mu_);
 };
 
 class TraceRecorder;
@@ -179,6 +211,10 @@ class ScopedCost {
   /// The enclosing scope on this thread that has a ledger (null at the
   /// bottom of the chain); meaningful only while sinks_.ledger != nullptr.
   const ScopedCost* parent_ = nullptr;
+  /// The ledger row this scope books to, set at its first charge; valid
+  /// while row_ledger_ is the serial of sinks_.ledger.
+  mutable CostEntry* row_ = nullptr;
+  mutable std::uint64_t row_ledger_ = 0;
 
   /// The calling thread's innermost scope that has a ledger.
   static thread_local const ScopedCost* innermost_;

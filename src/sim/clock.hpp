@@ -38,7 +38,9 @@ class SimClock {
   /// rather than by auditing every charge site.  The observer must not
   /// call back into the clock.  With worker threads registered the
   /// callback runs on the charging thread; implementations must be
-  /// thread-safe (obs::CostLedger is internally locked).
+  /// thread-safe (obs::CostLedger books each thread's charges into that
+  /// thread's own shard, with no lock, and merges the shards when read
+  /// after the charging threads have joined).
   class ChargeObserver {
    public:
     virtual ~ChargeObserver() = default;

@@ -8,7 +8,9 @@
 // counting versions, so these claims are measured, not inferred:
 //   - after warm-up, debit-credit commits allocate nothing, under the
 //     default config and under each variant that takes another code path
-//     (two mirrors, lazy undo, coalescing off, wait-die);
+//     (two mirrors, lazy undo, coalescing off, wait-die, validate);
+//   - an attached cost ledger grows its row storage geometrically, not a
+//     block per row;
 //   - one huge transaction does not pin its buffers afterwards (buffers
 //     above core::kRetainedBufferBytes are released when it closes);
 //   - a threaded batch allocates per thread, not per transaction.
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "core/perseas.hpp"
+#include "obs/cost_ledger.hpp"
 #include "sim/random.hpp"
 #include "workload/debit_credit.hpp"
 #include "workload/engines.hpp"
@@ -154,8 +157,42 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Variant{.name = "default"}, Variant{.name = "two_mirrors", .mirrors = 2},
                       Variant{.name = "lazy_undo", .eager_remote_undo = false},
                       Variant{.name = "coalescing_off", .coalesce_ranges = false},
-                      Variant{.name = "wait_die", .cc_policy = core::CcPolicyKind::kWaitDie}),
+                      Variant{.name = "wait_die", .cc_policy = core::CcPolicyKind::kWaitDie},
+                      Variant{.name = "validate",
+                              .cc_policy = core::CcPolicyKind::kValidateAtCommit}),
     [](const ::testing::TestParamInfo<Variant>& info) { return std::string(info.param.name); });
+
+// A ledger books a row per (transaction, phase), but its row storage
+// doubles as it grows instead of allocating per row, so 1,000 commits
+// into a fresh ledger (8,001 rows) allocate a few dozen times.
+TEST(LedgerAllocTest, RowStorageGrowsGeometrically) {
+  netram::Cluster cluster(sim::HardwareProfile::forth_1997(), 2);
+  netram::RemoteMemoryServer server(cluster, 1);
+  workload::DebitCreditOptions o;
+  o.accounts_per_branch = 1'000;
+  workload::PerseasEngine engine(cluster, 0, {&server}, workload::DebitCredit::required_db_size(o),
+                                 {});
+  if (const std::string why = observed_by_design(engine.perseas(), cluster); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  workload::DebitCredit bank(engine, o);
+  bank.load();
+  for (int i = 0; i < 200; ++i) (void)bank.run_one();
+  ASSERT_EQ(cluster.flight().size(), cluster.flight().capacity());
+
+  obs::CostLedger ledger;
+  cluster.set_ledger(&ledger);
+  const sim::SimTime attach = cluster.clock().now();
+  const HeapWindow window;
+  for (int i = 0; i < 1'000; ++i) (void)bank.run_one();
+  const std::uint64_t allocs = window.allocs();
+  cluster.set_ledger(nullptr);
+
+  const std::size_t rows = ledger.entries().size();
+  EXPECT_GT(rows, 8'000u) << "one row per transaction and phase";
+  EXPECT_LE(allocs, 100u) << rows << " ledger rows took " << allocs << " heap allocations";
+  EXPECT_EQ(ledger.total_ns(), cluster.clock().now() - attach);
+}
 
 // A 1 MiB transaction's before-image and serialized undo entry exceed the
 // retention cap, so neither outlives it: once a small transaction has run

@@ -1,7 +1,8 @@
 // obs::CostLedger: the conservation law `sum(ledger) == clock delta` must
 // hold EXACTLY — under interleaved transactions, coalesced write sets, and
 // a full crash + recovery — because the ledger observes every clock
-// advance, not the individual charge sites.
+// advance, not the individual charge sites.  Threads book into their own
+// shards; the reads after a join merge them to one row per key.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,15 +10,20 @@
 #include <barrier>
 #include <cstring>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/perseas.hpp"
 #include "netram/cluster.hpp"
 #include "netram/remote_memory.hpp"
 #include "obs/cost_ledger.hpp"
+#include "workload/debit_credit.hpp"
+#include "workload/engines.hpp"
+#include "workload/mt_driver.hpp"
 
 namespace perseas::obs {
 namespace {
@@ -278,6 +284,129 @@ TEST(CostLedgerWorkers, ConcurrentChargesLandInTheChargingThreadsScope) {
         << "worker " << t << " row must hold exactly its own charges";
   }
   EXPECT_EQ(ledger.total_ns(), clock.now());
+}
+
+// A pooled batch: four workers each book into their own shard, and the
+// read after the join merges them.  Every key is one row, the rows add up
+// to the clock delta, and each phase time PerseasStats measured from its
+// scopes equals that phase's rows.
+TEST(CostLedgerThreads, WorkerBatchMergesToOneRowPerKey) {
+  workload::DebitCreditOptions o;
+  o.branches = 4;
+  o.tellers_per_branch = 5;
+  o.accounts_per_branch = 100;
+  workload::LabOptions lo;
+  lo.db_size = workload::DebitCredit::required_db_size(o);
+  lo.perseas.undo_capacity = 4 << 20;
+  workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
+  workload::DebitCredit bank(lab.engine(), o);
+  bank.load();
+  const core::PerseasStats& stats =
+      static_cast<workload::PerseasEngine&>(lab.engine()).perseas().stats();
+  const core::PerseasStats before = stats;
+
+  CostLedger ledger;
+  lab.cluster().set_ledger(&ledger);
+  const sim::SimTime attach = lab.cluster().clock().now();
+  workload::MtOptions mo;
+  mo.threads = 4;
+  mo.txns_per_thread = 100;
+  mo.app_compute = o.app_compute;
+  const workload::PoolResult r = workload::run_mt_debit_credit(lab.engine(), bank, mo);
+  const sim::SimDuration delta = lab.cluster().clock().now() - attach;
+  lab.cluster().set_ledger(nullptr);
+  ASSERT_EQ(r.commits, 400u);
+
+  const std::vector<CostEntry> rows = ledger.entries();
+  std::set<std::tuple<std::uint64_t, std::string_view, std::string_view, std::string_view>> keys;
+  std::set<std::uint64_t> txns;
+  for (const CostEntry& e : rows) {
+    EXPECT_TRUE(keys.emplace(e.key.txn, e.key.phase, e.key.layer, e.key.channel).second)
+        << "txn " << e.key.txn << " phase " << e.key.phase << " has two rows";
+    if (e.key.txn != 0) txns.insert(e.key.txn);
+  }
+  EXPECT_EQ(txns.size(), 400u) << "every committed transaction has rows";
+  EXPECT_EQ(ledger.total_ns(), delta) << "conservation across the merged shards";
+
+  const auto phase_ns = [&rows](std::string_view phase) {
+    sim::SimDuration ns = 0;
+    for (const CostEntry& e : rows) {
+      if (e.key.phase == phase) ns += e.ns;
+    }
+    return ns;
+  };
+  EXPECT_EQ(stats.time_local_undo - before.time_local_undo, phase_ns("local_undo"));
+  EXPECT_EQ(stats.time_remote_undo - before.time_remote_undo, phase_ns("remote_undo"));
+  EXPECT_EQ(stats.time_validate - before.time_validate, phase_ns("validate"));
+  EXPECT_EQ(stats.time_propagation - before.time_propagation, phase_ns("propagate"));
+  EXPECT_EQ(stats.time_commit_flags - before.time_commit_flags,
+            phase_ns("flag_set") + phase_ns("flag_clear"));
+  EXPECT_EQ(stats.time_cc_wait - before.time_cc_wait, phase_ns("cc_wait"));
+  EXPECT_GT(phase_ns("propagate"), 0);
+}
+
+// A thread finds its shard through a one-entry cache keyed by the ledger's
+// serial number, and a scope keeps its row.  Charging two ledgers
+// alternately misses the thread's cache on every switch and must find the
+// thread's existing shard each time; a ledger built in a dead one's
+// storage must start empty, inheriting neither the thread's cached shard
+// nor an open scope's cached row.
+TEST(CostLedgerThreads, ThreadCacheFollowsTheLedger) {
+  sim::SimClock clock_a;
+  sim::SimClock clock_b;
+  std::optional<CostLedger> a(std::in_place);
+  CostLedger b;
+  clock_a.set_observer(&*a);
+  clock_b.set_observer(&b);
+  constexpr int kCharges = 1'000;
+  {
+    const ScopedCost in_a(CostSinks{&*a, nullptr, 0, &clock_a}, 1, "a", "test", "-");
+    const ScopedCost in_b(CostSinks{&b, nullptr, 0, &clock_b}, 1, "b", "test", "-");
+    for (int i = 0; i < kCharges; ++i) {
+      clock_a.advance(1);
+      clock_b.advance(2);
+      a->add_bytes(3);
+      b.add_bytes(5);
+    }
+  }
+  clock_b.advance(7);  // outside any scope: b's root row
+
+  const auto expect_rows = [](const CostLedger& ledger, std::string_view phase,
+                              sim::SimDuration ns, std::uint64_t bytes) {
+    const std::vector<CostEntry> rows = ledger.entries();
+    ASSERT_FALSE(rows.empty());
+    EXPECT_EQ(rows[0].key.phase, phase);
+    EXPECT_EQ(rows[0].ns, ns);
+    EXPECT_EQ(rows[0].bytes, bytes);
+  };
+  expect_rows(*a, "a", kCharges * 1, kCharges * 3u);
+  EXPECT_EQ(a->entries().size(), 1u);
+  expect_rows(b, "b", kCharges * 2, kCharges * 5u);
+  EXPECT_EQ(b.entries().size(), 2u);
+  EXPECT_EQ(b.total_ns(), clock_b.now());
+
+  // Rebuild `a` in place under an open scope: the thread's cache and the
+  // scope's cached row still point into the dead ledger's shard, and the
+  // new ledger sits at the same address.
+  {
+    CostLedger* const old_address = &*a;
+    const ScopedCost held(CostSinks{old_address, nullptr, 0, &clock_a}, 2, "a2", "test", "-");
+    clock_a.advance(13);  // books to the old ledger
+    a.emplace();
+    ASSERT_EQ(&*a, old_address);
+    clock_a.set_observer(&*a);
+    clock_a.advance(17);  // the scope's key, in the new ledger
+  }
+  clock_a.advance(11);
+  const std::vector<CostEntry> rows = a->entries();
+  ASSERT_EQ(rows.size(), 2u) << "the new ledger holds only its own charges";
+  EXPECT_EQ(rows[0].key.phase, "a2");
+  EXPECT_EQ(rows[0].ns, 17);
+  EXPECT_EQ(rows[1].key.phase, "unattributed");
+  EXPECT_EQ(rows[1].ns, 11);
+  EXPECT_EQ(a->total_ns(), 17 + 11);
+  EXPECT_EQ(a->total_bytes(), 0u);
+  EXPECT_EQ(b.total_ns(), clock_b.now()) << "b is untouched";
 }
 
 // PerseasStats' phase times are read from the phase's own scope, so each

@@ -11,7 +11,7 @@ namespace {
 
 /// Counts observer callbacks; used by the threading tests below.
 /// Atomic because the observer hook runs on whichever thread charges (the
-/// production observer, obs::CostLedger, is internally locked).
+/// production observer, obs::CostLedger, books into per-thread shards).
 struct CountingObserver final : SimClock::ChargeObserver {
   std::atomic<SimDuration> charged{0};
   std::atomic<int> advances{0};

@@ -58,7 +58,12 @@ def check(doc):
         if not isinstance(row, dict) or not row:
             fail(f"rows[{i}] must be a non-empty object")
         for k, v in row.items():
-            if not isinstance(v, (int, float, str)) or isinstance(v, bool):
+            # "ledger" (bench_mt) says whether a cost ledger was attached;
+            # it is the one boolean a row may carry.
+            if k == "ledger":
+                if not isinstance(v, bool):
+                    fail(f"rows[{i}].ledger must be true or false, got {v!r}")
+            elif not isinstance(v, (int, float, str)) or isinstance(v, bool):
                 fail(f"rows[{i}].{k} has non-scalar value {v!r}")
         # Ablation rows label the coalescing leg with the effective config
         # value (PERSEAS_COALESCE may override what the bench requested).
@@ -90,7 +95,7 @@ def check(doc):
             # Forced-conflict rows: a victim claim on branch 0's row makes
             # every raid (each conflict_every-th transaction of workers
             # 1..N-1) lose, so a count under that floor means the smoke
-            # proved nothing.
+            # proved nothing.  The floor holds with and without a ledger.
             if row.get("mode") == "conflicting":
                 every = row.get("conflict_every")
                 if not isinstance(every, int) or isinstance(every, bool) or every < 1:
@@ -131,6 +136,22 @@ def check(doc):
                      f"{expected} transactions — a policy wedged the "
                      f"workload")
 
+    # Each forced-conflict cell runs with a cost ledger attached and
+    # without, so the two conflict counts can be compared: a document
+    # missing either variant of a cell would pass every per-row check.
+    cells = {}
+    for row in rows:
+        if row.get("mode") == "conflicting":
+            cell = (row.get("threads"), row.get("conflict_every"),
+                    row.get("txns_per_thread"))
+            cells.setdefault(cell, []).append(row.get("ledger"))
+    for (threads, every, txns), variants in sorted(cells.items()):
+        if len(variants) != 2 or set(variants) != {False, True}:
+            fail(f"conflicting cell threads={threads} conflict_every={every} "
+                 f"txns_per_thread={txns} must have one row with "
+                 f"ledger=true and one with ledger=false, got "
+                 f"{variants!r}")
+
     # A cc_sweep document must compare all three policies — a sweep that
     # silently dropped one would still pass every per-row check above.
     cc_policies = {row["policy"] for row in rows
@@ -152,6 +173,7 @@ def check(doc):
         if not isinstance(lrows, list) or not lrows:
             fail("ledger.rows must be a non-empty array")
         ns_sum = 0
+        keys = set()
         for i, row in enumerate(lrows):
             if not isinstance(row, dict):
                 fail(f"ledger.rows[{i}] must be an object")
@@ -163,6 +185,14 @@ def check(doc):
             for k in ("phase", "layer", "channel"):
                 if not isinstance(row.get(k), str) or not row[k]:
                     fail(f"ledger.rows[{i}].{k} must be a non-empty string")
+            # The ledger books per thread and merges on read: a key seen
+            # twice means the merge let a thread's row through unsummed.
+            key = (row["txn"], row["phase"], row["layer"], row["channel"])
+            if key in keys:
+                fail(f"ledger.rows[{i}] repeats the key txn={key[0]} "
+                     f"phase={key[1]!r} layer={key[2]!r} "
+                     f"channel={key[3]!r}")
+            keys.add(key)
             ns_sum += row["ns"]
         total = ledger.get("total_ns")
         if total != ns_sum:
