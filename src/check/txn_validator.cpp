@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "core/layout.hpp"
+#include "obs/metrics.hpp"
 #include "sim/crc32.hpp"
 
 namespace perseas::check {
@@ -35,7 +36,7 @@ std::uint32_t expected_checksum(const core::UndoEntryHeader& hdr,
 
 /// True when byte position `p` lies inside one of the sorted, coalesced
 /// `ranges`; `ri` is a monotonic cursor the caller reuses across positions.
-bool covered(const std::vector<ByteRange>& ranges, std::size_t& ri, std::uint64_t p) {
+bool covered(const std::vector<core::ByteRange>& ranges, std::size_t& ri, std::uint64_t p) {
   while (ri < ranges.size() && ranges[ri].offset + ranges[ri].size <= p) ++ri;
   return ri < ranges.size() && ranges[ri].offset <= p;
 }
@@ -68,7 +69,7 @@ void TxnValidator::close(std::uint64_t txn_id) noexcept {
 
 void TxnValidator::disarm() noexcept { sessions_.clear(); }
 
-void TxnValidator::on_begin(std::uint64_t txn_id, std::span<const core::TxnRecordView> records) {
+void TxnValidator::on_begin(std::uint64_t txn_id, std::span<const TxnRecordView> records) {
   Session s;
   s.txn_id = txn_id;
   ++stats_.txns_observed;
@@ -146,7 +147,7 @@ void TxnValidator::on_undo_push(std::uint64_t txn_id, std::span<const std::byte>
   }
 }
 
-void TxnValidator::on_commit(std::uint64_t txn_id, std::span<const core::TxnRecordView> records) {
+void TxnValidator::on_commit(std::uint64_t txn_id, std::span<const TxnRecordView> records) {
   Session* s = find(txn_id);
   if (s == nullptr) return;
   ++stats_.commits_checked;
@@ -163,7 +164,7 @@ void TxnValidator::on_commit(std::uint64_t txn_id, std::span<const core::TxnReco
     // Scan for modified byte runs outside the tolerated union: the
     // transaction's own declares plus its open neighbours' (disjoint by
     // the conflict table, so the merge never hides an own-range bug).
-    std::vector<ByteRange> tolerated = tr->ranges;
+    std::vector<core::ByteRange> tolerated = tr->ranges;
     for (const auto& range : tr->foreign_ranges) {
       core::merge_range(tolerated, range.offset, range.size);
     }
@@ -190,7 +191,7 @@ void TxnValidator::on_commit(std::uint64_t txn_id, std::span<const core::TxnReco
   // their before-images were logged locally and pushed to every mirror for
   // nothing (paper figure 6: undo traffic is the dominant per-txn cost).
   for (const auto& tr : s->tracked) {
-    const core::TxnRecordView* view = nullptr;
+    const TxnRecordView* view = nullptr;
     for (const auto& v : records) {
       if (v.index == tr.index) {
         view = &v;
@@ -215,7 +216,7 @@ void TxnValidator::on_commit(std::uint64_t txn_id, std::span<const core::TxnReco
   }
 }
 
-void TxnValidator::on_abort(std::uint64_t txn_id, std::span<const core::TxnRecordView> records) {
+void TxnValidator::on_abort(std::uint64_t txn_id, std::span<const TxnRecordView> records) {
   Session* s = find(txn_id);
   if (s == nullptr) return;
   ++stats_.aborts_checked;
@@ -246,8 +247,32 @@ void TxnValidator::on_abort(std::uint64_t txn_id, std::span<const core::TxnRecor
   close(txn_id);
 }
 
-std::vector<ByteRange> TxnValidator::declared_ranges(std::uint32_t record) const {
-  std::vector<ByteRange> out;
+void TxnValidator::export_metrics(obs::MetricsRegistry& reg, const std::string& labels) const {
+  const auto count = [&](std::string_view name, std::string_view help, std::uint64_t v) {
+    reg.counter(name, help, labels).add(v);
+  };
+  count("perseas_validator_txns_observed_total", "Transactions seen by the validator",
+        stats_.txns_observed);
+  count("perseas_validator_snapshots_total", "Records snapshotted at begin",
+        stats_.snapshots_taken);
+  count("perseas_validator_snapshot_bytes_total", "Bytes snapshotted by the validator",
+        stats_.snapshot_bytes);
+  count("perseas_validator_ranges_tracked_total", "set_range declarations observed",
+        stats_.ranges_tracked);
+  count("perseas_validator_commits_checked_total", "Commits diffed by check::TxnValidator",
+        stats_.commits_checked);
+  count("perseas_validator_aborts_checked_total", "Aborts verified byte-identical",
+        stats_.aborts_checked);
+  count("perseas_validator_undo_crosschecks_total", "Remote undo entries byte-compared",
+        stats_.undo_crosschecks);
+  count("perseas_validator_uncovered_writes_total", "CoverageErrors raised",
+        stats_.uncovered_writes);
+  count("perseas_validator_unused_ranges_total", "Declared-but-untouched range warnings",
+        stats_.unused_ranges);
+}
+
+std::vector<core::ByteRange> TxnValidator::declared_ranges(std::uint32_t record) const {
+  std::vector<core::ByteRange> out;
   for (const auto& s : sessions_) {
     for (const auto& tr : s.tracked) {
       if (tr.index == record) {

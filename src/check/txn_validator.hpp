@@ -7,8 +7,9 @@
 // silently unrecoverable after a crash — the classic bug class of
 // undo-log persistent-memory systems.
 //
-// TxnValidator makes the contract machine-checked.  Installed as the
-// instance's TxnObserver (PerseasConfig::validate_writes), it
+// TxnValidator makes the contract machine-checked.  Installed on a Perseas
+// instance (PerseasConfig::validate_writes, or PERSEAS_VALIDATE_WRITES),
+// it is called at every protocol step and
 //
 //   * snapshots every record's bytes at begin_transaction,
 //   * tracks the union of declared set_range intervals (merging duplicates
@@ -43,6 +44,9 @@
 //
 // The validator performs plain local computation only: it never touches
 // the cluster, charges no simulated time, and adds no network traffic.
+// Its hooks receive spans and ids, never a back-pointer into Perseas, and
+// every hook carries the owning transaction's id: with several
+// transactions open the calls of different transactions interleave.
 #pragma once
 
 #include <cstddef>
@@ -53,9 +57,33 @@
 
 #include "core/errors.hpp"
 #include "core/range_set.hpp"
-#include "core/txn_hooks.hpp"
+
+namespace perseas::obs {
+class MetricsRegistry;
+}  // namespace perseas::obs
 
 namespace perseas::check {
+
+/// One record's live local bytes, as shown to the validator.
+struct TxnRecordView {
+  std::uint32_t index = 0;
+  std::span<const std::byte> bytes;
+};
+
+/// The validator's counters.  Perseas::validator_stats() reports all zero
+/// when no validator is installed: the hooks are guarded by a null check
+/// and take no snapshots at all.
+struct TxnObserverStats {
+  std::uint64_t txns_observed = 0;      ///< on_begin calls
+  std::uint64_t snapshots_taken = 0;    ///< records snapshotted at begin
+  std::uint64_t snapshot_bytes = 0;     ///< bytes copied for those snapshots
+  std::uint64_t ranges_tracked = 0;     ///< set_range declarations seen
+  std::uint64_t commits_checked = 0;    ///< commits diffed against snapshots
+  std::uint64_t aborts_checked = 0;     ///< aborts verified byte-identical
+  std::uint64_t undo_crosschecks = 0;   ///< remote undo entries byte-compared
+  std::uint64_t uncovered_writes = 0;   ///< CoverageErrors raised
+  std::uint64_t unused_ranges = 0;      ///< declared-but-untouched warnings
+};
 
 /// Base class of everything TxnValidator raises.
 class ValidationError : public core::PerseasError {
@@ -93,26 +121,41 @@ class SnapshotMismatchError : public ValidationError {
   using ValidationError::ValidationError;
 };
 
-/// Half-open byte interval [offset, offset + size) within one record.
-/// The interval-merge machinery lives in core::range_set.hpp, where the
-/// commit hot path's coalescing layer shares it; the alias keeps this
-/// module's historical spelling working.
-using ByteRange = core::ByteRange;
-
-class TxnValidator final : public core::TxnObserver {
+class TxnValidator {
  public:
   TxnValidator() = default;
 
-  void on_begin(std::uint64_t txn_id, std::span<const core::TxnRecordView> records) override;
+  /// A transaction opened; `records` is the full directory at that instant
+  /// (persistent_malloc is illegal inside a transaction, so it is stable
+  /// until on_commit / on_abort).
+  void on_begin(std::uint64_t txn_id, std::span<const TxnRecordView> records);
+  /// set_range declared [offset, offset+size) of `record`, after argument
+  /// validation and before any before-image is logged.  The validator
+  /// always sees the raw declaration; with write-set coalescing on the
+  /// library then logs only the sub-ranges not already covered.
   void on_set_range(std::uint64_t txn_id, std::uint32_t record, std::uint64_t offset,
-                    std::uint64_t size) override;
+                    std::uint64_t size);
+  /// One undo entry was pushed to one mirror: `serialized` is the local
+  /// serialization (header + padded image), `remote` the bytes now at the
+  /// same position of that mirror's undo segment.  Called once per entry
+  /// per mirror, on the lazy commit path too.
   void on_undo_push(std::uint64_t txn_id, std::span<const std::byte> serialized,
-                    std::span<const std::byte> remote) override;
-  void on_commit(std::uint64_t txn_id, std::span<const core::TxnRecordView> records) override;
-  void on_abort(std::uint64_t txn_id, std::span<const core::TxnRecordView> records) override;
-  void on_commit_complete(std::uint64_t txn_id) override { close(txn_id); }
+                    std::span<const std::byte> remote);
+  /// Commit was requested but nothing has been propagated yet; throws
+  /// (CoverageError) to veto it, leaving the transaction active and both
+  /// database images untouched.
+  void on_commit(std::uint64_t txn_id, std::span<const TxnRecordView> records);
+  /// Abort finished restoring the declared before-images locally.
+  void on_abort(std::uint64_t txn_id, std::span<const TxnRecordView> records);
+  /// Commit finished: every mirror's flag is cleared (also called for
+  /// read-only commits).
+  void on_commit_complete(std::uint64_t txn_id) { close(txn_id); }
 
-  [[nodiscard]] const core::TxnObserverStats& stats() const noexcept override { return stats_; }
+  [[nodiscard]] const TxnObserverStats& stats() const noexcept { return stats_; }
+
+  /// Folds the counters into `reg` as perseas_validator_* metrics
+  /// labelled `labels`.
+  void export_metrics(obs::MetricsRegistry& reg, const std::string& labels) const;
 
   /// True while at least one transaction's session is armed (between its
   /// on_begin and the matching on_commit_complete / on_abort; a validation
@@ -121,7 +164,7 @@ class TxnValidator final : public core::TxnObserver {
 
   /// The merged, sorted declared ranges of `record`, unioned across every
   /// open transaction (empty when none / not tracking).  Exposed for tests.
-  [[nodiscard]] std::vector<ByteRange> declared_ranges(std::uint32_t record) const;
+  [[nodiscard]] std::vector<core::ByteRange> declared_ranges(std::uint32_t record) const;
 
   /// Human-readable warnings accumulated across transactions (one per
   /// declared-but-untouched range).  Never cleared by the validator.
@@ -131,8 +174,8 @@ class TxnValidator final : public core::TxnObserver {
   struct TrackedRecord {
     std::uint32_t index = 0;
     std::vector<std::byte> snapshot;
-    std::vector<ByteRange> ranges;          // own declares, sorted + coalesced
-    std::vector<ByteRange> foreign_ranges;  // open neighbours' declares
+    std::vector<core::ByteRange> ranges;          // own declares, sorted + coalesced
+    std::vector<core::ByteRange> foreign_ranges;  // open neighbours' declares
   };
 
   /// One open transaction's tracking state.
@@ -145,7 +188,7 @@ class TxnValidator final : public core::TxnObserver {
   void close(std::uint64_t txn_id) noexcept;
   void disarm() noexcept;
 
-  core::TxnObserverStats stats_;
+  TxnObserverStats stats_;
   std::vector<Session> sessions_;
   std::vector<std::string> warnings_;
 };

@@ -39,13 +39,6 @@ TxnConflict::TxnConflict(std::uint64_t txn, std::uint64_t holder, std::uint32_t 
       size_(size),
       reason_(reason) {}
 
-void ConflictTable::acquire(std::uint64_t txn, std::uint32_t record, std::uint64_t offset,
-                            std::uint64_t size) {
-  if (const std::uint64_t holder = try_acquire(txn, record, offset, size); holder != 0) {
-    throw TxnConflict(txn, holder, record, offset, size);
-  }
-}
-
 std::uint64_t ConflictTable::try_acquire(std::uint64_t txn, std::uint32_t record,
                                          std::uint64_t offset, std::uint64_t size) {
   if (size == 0) return 0;  // an empty range claims no bytes

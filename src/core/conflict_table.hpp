@@ -5,10 +5,10 @@
 // other's before-images: the later set_range would snapshot bytes the
 // earlier transaction may already have modified, so its undo entry (and a
 // crash-time rollback) could resurrect uncommitted data.  The conflict
-// table forbids that interleaving at declaration time — first-writer-wins:
-// set_range consults acquire() before logging anything, and the loser's
-// transaction sees a TxnConflict it should handle by aborting and
-// retrying.  Commits still serialize at the commit-point store, so the
+// table forbids that interleaving at declaration time: set_range asks the
+// concurrency-control policy (core/cc_policy.hpp), which consults
+// try_acquire() before anything is logged, and the loser's transaction
+// sees a TxnConflict it should handle by aborting and retrying.  Commits still serialize at the commit-point store, so the
 // figure-3 cost model per transaction is unchanged; the table itself is
 // plain local bookkeeping and charges no simulated time or traffic.
 #pragma once
@@ -60,25 +60,18 @@ class TxnConflict : public PerseasError {
 
 class ConflictTable {
  public:
-  /// Claims [offset, offset+size) of `record` for `txn`.  Overlap with a
-  /// claim held by a *different* transaction throws TxnConflict (the table
-  /// is left unchanged); overlap with txn's own claims is fine — ranges a
-  /// transaction re-declares are its own business, and they coalesce with
-  /// its existing claims so a long transaction rewriting the same ranges
-  /// holds a bounded claim set instead of one entry per declaration.
-  /// Empty ranges (size == 0) claim nothing and conflict with nothing.
-  /// The overlap test (core::ranges_overlap) is exact for ranges ending at
-  /// the very top of the 64-bit address space (where a naive
-  /// `offset + size` wraps to 0).
-  void acquire(std::uint64_t txn, std::uint32_t record, std::uint64_t offset,
-               std::uint64_t size);
-
-  /// acquire() that reports instead of throwing: returns 0 when the claim
-  /// was taken (or the range was empty), else the id of the conflicting
-  /// holder with the table unchanged.  The seam the pluggable
-  /// concurrency-control policies (core/cc_policy.hpp) decide on — what to
-  /// *do* about the holder (lose, wait, wound) is their business, not the
-  /// table's.
+  /// Claims [offset, offset+size) of `record` for `txn`: returns 0 when
+  /// the claim was taken, else the id of the *different* transaction
+  /// whose claim overlaps it, with the table unchanged.  Overlap with
+  /// txn's own claims is fine — ranges a transaction re-declares are its
+  /// own business, and they coalesce with its existing claims so a long
+  /// transaction rewriting the same ranges holds a bounded claim set
+  /// instead of one entry per declaration.  Empty ranges (size == 0)
+  /// claim nothing and conflict with nothing.  The overlap test
+  /// (core::ranges_overlap) is exact for ranges ending at the very top of
+  /// the 64-bit address space (where a naive `offset + size` wraps to 0).
+  /// What to *do* about a holder (lose, wait, wound) is the
+  /// concurrency-control policy's business, not the table's.
   [[nodiscard]] std::uint64_t try_acquire(std::uint64_t txn, std::uint32_t record,
                                           std::uint64_t offset, std::uint64_t size);
 
@@ -95,11 +88,11 @@ class ConflictTable {
     std::uint64_t size = 0;
     std::uint64_t owner = 0;
   };
-  /// Guards the claim index: acquire/release race between concurrently
+  /// Guards the claim index: try_acquire/release race between concurrently
   /// open transactions, and first-writer-wins is only meaningful if the
-  /// overlap-scan-then-insert in acquire() is atomic.
+  /// overlap-scan-then-insert in try_acquire() is atomic.
   mutable sync::Mutex mu_;
-  /// Per-record claims, indexed by record: acquire touches exactly the
+  /// Per-record claims, indexed by record: try_acquire touches exactly the
   /// vector of the record it declares, so the scan under mu_ is O(claims
   /// on that record) — the table mutex is the one lock every threaded
   /// set_range crosses.  Claims within a record stay unordered (a handful

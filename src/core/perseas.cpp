@@ -58,11 +58,11 @@ bool seeded_bug_skip_flag_clear() {
 
 Perseas::~Perseas() { dump_env_metrics(); }
 
-std::vector<TxnRecordView> Perseas::observer_views() {
-  std::vector<TxnRecordView> views;
+std::vector<check::TxnRecordView> Perseas::validator_views() {
+  std::vector<check::TxnRecordView> views;
   views.reserve(records_.size());
   for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    views.push_back(TxnRecordView{i, record_bytes_locked(i)});
+    views.push_back(check::TxnRecordView{i, record_bytes_locked(i)});
   }
   return views;
 }
@@ -79,7 +79,7 @@ Perseas::Perseas(netram::Cluster& cluster, netram::NodeId local,
   apply_cc_env(config_);
   cc_ = make_cc_policy(config_);
   mc_skip_flag_clear_ = seeded_bug_skip_flag_clear();
-  maybe_install_observers();
+  init_observability();
   if (mirrors.empty()) throw UsageError("Perseas: at least one mirror is required");
   for (auto* server : mirrors) {
     if (server == nullptr) throw UsageError("Perseas: null mirror server");
@@ -101,7 +101,7 @@ Perseas::Perseas(AttachTag, netram::Cluster& cluster, netram::NodeId local, Pers
   apply_cc_env(config_);
   cc_ = make_cc_policy(config_);
   mc_skip_flag_clear_ = seeded_bug_skip_flag_clear();
-  maybe_install_observers();
+  init_observability();
 }
 
 Perseas::Perseas(RecoverTag, netram::Cluster& cluster, netram::NodeId new_local,
@@ -230,9 +230,9 @@ Transaction Perseas::begin_transaction() {
   open_.push_back(std::move(ctx));
   stats_.max_open_txns = std::max<std::uint64_t>(stats_.max_open_txns, open_.size());
   cluster_->flight().record(EventKind::kTxnBegin, txn_counter_, open_.size());
-  if (observer_) {
-    const auto views = observer_views();
-    observer_->on_begin(txn_counter_, views);
+  if (validator_) {
+    const auto views = validator_views();
+    validator_->on_begin(txn_counter_, views);
   }
   return Transaction{this, txn_counter_};
 }
@@ -341,7 +341,7 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
                               offset);
     throw TxnConflict(txn_id, rejection->holder, record, offset, size, rejection->reason);
   }
-  if (observer_) observer_->on_set_range(txn_id, record, offset, size);
+  if (validator_) validator_->on_set_range(txn_id, record, offset, size);
   ++stats_.set_ranges;
   cluster_->flight().record(EventKind::kSetRange, txn_id, record, offset, size);
 
@@ -395,7 +395,7 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
     for (auto& u : staged_) {
       undo_log_.ensure_capacity(mirror_set_, undo_entry_bytes(u.before.size()), open);
       undo_log_.push(mirror_set_, u, txn_id, netram::StreamHint::kNewBurst,
-                     observer_.get());  // figure 3, step 2
+                     validator_.get());  // figure 3, step 2
       cluster_->failures().notify(points::kAfterRemoteUndo);
       ctx->undo().push_back(std::move(u));
       ctx->set_pushed_entries(ctx->undo().size());
@@ -433,12 +433,12 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
   cluster_->flight().record(EventKind::kTxnCommitRequest, txn_id, ctx->undo().size(),
                             ctx->declared_bytes());
 
-  if (observer_) {
+  if (validator_) {
     // Nothing has been propagated yet: a CoverageError here leaves the
     // transaction active and both database images untouched, so the caller
     // can still abort locally.
-    const auto views = observer_views();
-    observer_->on_commit(txn_id, views);
+    const auto views = validator_views();
+    validator_->on_commit(txn_id, views);
   }
 
   // Validate phase: the policy's last chance to reject the transaction
@@ -480,7 +480,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     }
     // Growth moves to an empty segment first (preserving nothing); every
     // entry then flows through the same per-entry push below, so the
-    // protocol points and observer cross-checks are identical whether or
+    // protocol points and validator cross-checks are identical whether or
     // not the log had to grow.  The entries continue one SCI stream: only
     // the first pays the burst launch latency.
     undo_log_.ensure_capacity(mirror_set_, total, open_contexts());
@@ -488,7 +488,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     for (const auto& u : ctx->undo()) {
       undo_log_.push(mirror_set_, u, txn_id,
                      first ? netram::StreamHint::kNewBurst : netram::StreamHint::kContinuation,
-                     observer_.get());
+                     validator_.get());
       first = false;
       cluster_->failures().notify(points::kAfterRemoteUndo);
     }
@@ -500,7 +500,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     close_context(txn_id);
     ++stats_.txns_committed;
     cluster_->flight().record(EventKind::kTxnCommitted, txn_id, 1);
-    if (observer_) observer_->on_commit_complete(txn_id);
+    if (validator_) validator_->on_commit_complete(txn_id);
     cluster_->failures().notify(points::kCommitDone);
     return;
   }
@@ -555,7 +555,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
   close_context(txn_id);
   ++stats_.txns_committed;
   cluster_->flight().record(EventKind::kTxnCommitted, txn_id, 0);
-  if (observer_) observer_->on_commit_complete(txn_id);
+  if (validator_) validator_->on_commit_complete(txn_id);
   cluster_->failures().notify(points::kCommitDone);
 }
 
@@ -581,19 +581,19 @@ void Perseas::txn_abort_impl(std::uint64_t txn_id) {
   close_context(txn_id);
   ++stats_.txns_aborted;
   cluster_->flight().record(EventKind::kTxnAborted, txn_id, bytes);
-  if (observer_) {
+  if (validator_) {
     // The declared before-images are restored; every record must now be
     // byte-identical to its begin snapshot or an uncovered write leaked
     // through the rollback.
-    const auto views = observer_views();
-    observer_->on_abort(txn_id, views);
+    const auto views = validator_views();
+    validator_->on_abort(txn_id, views);
   }
   cluster_->failures().notify(points::kAbortDone);
 }
 
 // The Transaction/RecordHandle forwarders live in transaction.cpp;
 // rebuild_mirror, attach_recover and recover in perseas_recover.cpp; the
-// observability wiring (maybe_install_observers, export_metrics) in
+// observability wiring (init_observability, export_metrics) in
 // perseas_observe.cpp.
 
 }  // namespace perseas::core

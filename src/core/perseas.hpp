@@ -20,7 +20,7 @@
 // rebuilds the database on any workstation of the network.
 //
 // The Perseas class is the orchestration layer: it owns the protocol's
-// *sequencing* (charge order, observer callbacks, failure-injection
+// *sequencing* (charge order, validator calls, failure-injection
 // points) and delegates the state to four components —
 //
 //   core/txn_context.hpp    per-transaction state (several may be open),
@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "check/txn_validator.hpp"
 #include "core/cc_policy.hpp"
 #include "core/conflict_table.hpp"
 #include "core/errors.hpp"
@@ -55,7 +56,6 @@
 #include "core/range_set.hpp"
 #include "core/sync.hpp"
 #include "core/txn_context.hpp"
-#include "core/txn_hooks.hpp"
 #include "core/undo_log.hpp"
 #include "netram/cluster.hpp"
 #include "netram/remote_memory.hpp"
@@ -256,21 +256,20 @@ class Perseas {
 
   /// True when the write-set validator is installed; see
   /// PerseasConfig::validate_writes.
-  [[nodiscard]] bool validating() const noexcept { return observer_ != nullptr; }
+  [[nodiscard]] bool validating() const noexcept { return validator_ != nullptr; }
 
-  /// Folds PerseasStats (plus undo-log occupancy and observer counters)
+  /// Folds PerseasStats (plus undo-log occupancy and validator counters)
   /// into `reg` as perseas_* metrics labelled db="<name>".  Call once per
   /// instance per registry, right before serialization: the stats struct
   /// stays the single source of truth and the registry is a view of it.
   void export_metrics(obs::MetricsRegistry& reg) const;
-  /// The installed observer, or nullptr (tests downcast to
-  /// check::TxnValidator for its extended accessors).
-  [[nodiscard]] TxnObserver* txn_observer() noexcept { return observer_.get(); }
-  /// Observer counters; all-zero when no observer is installed, which is
+  /// The installed write-set validator, or nullptr.
+  [[nodiscard]] check::TxnValidator* validator() noexcept { return validator_.get(); }
+  /// Validator counters; all-zero when no validator is installed, which is
   /// how tests assert the validator's strict zero-overhead-when-off
   /// property (no snapshots taken, nothing tracked).
-  [[nodiscard]] TxnObserverStats validator_stats() const noexcept {
-    return observer_ ? observer_->stats() : TxnObserverStats{};
+  [[nodiscard]] check::TxnObserverStats validator_stats() const noexcept {
+    return validator_ ? validator_->stats() : check::TxnObserverStats{};
   }
 
   /// Rebuilds mirror `index` (whose server lost its exports in a crash and
@@ -326,13 +325,13 @@ class Perseas {
       PERSEAS_REQUIRES(mu_);
   /// rebuild_mirror's body, shared with the recovery re-sync loop.
   void rebuild_mirror_locked(std::uint32_t index) PERSEAS_REQUIRES(mu_);
-  /// Builds the record views handed to the observer (observer installed
+  /// Builds the record views handed to the validator (validator installed
   /// only: never called on the validation-off path).
-  [[nodiscard]] std::vector<TxnRecordView> observer_views() PERSEAS_REQUIRES(mu_);
+  [[nodiscard]] std::vector<check::TxnRecordView> validator_views() PERSEAS_REQUIRES(mu_);
   /// Installs check::TxnValidator when validate_writes (or
   /// PERSEAS_VALIDATE_WRITES) asks for it, and notes the PERSEAS_METRICS
   /// path.
-  void maybe_install_observers();
+  void init_observability();
   /// Writes the PERSEAS_METRICS dump (called by ~Perseas).
   void dump_env_metrics() const noexcept;
 
@@ -413,8 +412,8 @@ class Perseas {
   bool mc_skip_flag_clear_ = false;
   std::uint64_t txn_counter_ PERSEAS_GUARDED_BY(mu_) = 0;
 
-  /// Installed by maybe_install_observers; hooks fire only when non-null.
-  std::unique_ptr<TxnObserver> observer_;
+  /// Installed by init_observability; called only when non-null.
+  std::unique_ptr<check::TxnValidator> validator_;
 
   /// Where the destructor writes export_metrics (PERSEAS_METRICS); empty =
   /// nowhere.

@@ -61,9 +61,9 @@ struct PerseasConfig {
   /// formats.  The environment variable PERSEAS_COALESCE=0/1 overrides the
   /// config (CI runs both legs of the bench-obs job with it).
   bool coalesce_ranges = true;
-  /// Install check::TxnValidator as this instance's transaction observer:
-  /// every record is snapshotted at begin_transaction and commit verifies
-  /// that all modified bytes were covered by set_range (raising
+  /// Install check::TxnValidator on this instance: every record is
+  /// snapshotted at begin_transaction and commit verifies that all
+  /// modified bytes were covered by set_range (raising
   /// check::CoverageError otherwise), that abort restored the snapshot,
   /// and that remote undo entries byte-match the local log.  Debug/test
   /// facility: costs real memory and CPU per transaction but charges no

@@ -11,9 +11,9 @@
 
 namespace perseas::core {
 
-void Perseas::maybe_install_observers() {
+void Perseas::init_observability() {
   if (config_.validate_writes || std::getenv("PERSEAS_VALIDATE_WRITES") != nullptr) {
-    observer_ = std::make_unique<check::TxnValidator>();
+    validator_ = std::make_unique<check::TxnValidator>();
   }
   if (const char* path = std::getenv("PERSEAS_METRICS")) env_metrics_path_ = path;
 }
@@ -134,27 +134,7 @@ void Perseas::export_metrics(obs::MetricsRegistry& reg) const {
           recovery_.bytes_scanned, db);
   }
 
-  if (observer_) {
-    const TxnObserverStats v = validator_stats();
-    count("perseas_validator_txns_observed_total", "Transactions seen by the validator",
-          v.txns_observed, db);
-    count("perseas_validator_snapshots_total", "Records snapshotted at begin",
-          v.snapshots_taken, db);
-    count("perseas_validator_snapshot_bytes_total", "Bytes snapshotted by the validator",
-          v.snapshot_bytes, db);
-    count("perseas_validator_ranges_tracked_total", "set_range declarations observed",
-          v.ranges_tracked, db);
-    count("perseas_validator_commits_checked_total", "Commits diffed by check::TxnValidator",
-          v.commits_checked, db);
-    count("perseas_validator_aborts_checked_total", "Aborts verified byte-identical",
-          v.aborts_checked, db);
-    count("perseas_validator_undo_crosschecks_total", "Remote undo entries byte-compared",
-          v.undo_crosschecks, db);
-    count("perseas_validator_uncovered_writes_total", "CoverageErrors raised",
-          v.uncovered_writes, db);
-    count("perseas_validator_unused_ranges_total", "Declared-but-untouched range warnings",
-          v.unused_ranges, db);
-  }
+  if (validator_) validator_->export_metrics(reg, db);
 }
 
 }  // namespace perseas::core

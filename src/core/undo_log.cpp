@@ -8,10 +8,10 @@
 #include <string>
 #include <tuple>
 
+#include "check/txn_validator.hpp"
 #include "core/errors.hpp"
 #include "core/layout.hpp"
 #include "core/protocol_points.hpp"
-#include "core/txn_hooks.hpp"
 #include "sim/crc32.hpp"
 
 namespace perseas::core {
@@ -87,7 +87,7 @@ void UndoLog::ensure_capacity(MirrorSet& mirrors, std::uint64_t needed,
 }
 
 void UndoLog::push(MirrorSet& mirrors, const UndoImage& u, std::uint64_t txn_id,
-                   netram::StreamHint hint, TxnObserver* observer) {
+                   netram::StreamHint hint, check::TxnValidator* validator) {
   sync::LockGuard lock(mu_);
   entry_.clear();
   serialize(u, txn_id, entry_);
@@ -96,12 +96,12 @@ void UndoLog::push(MirrorSet& mirrors, const UndoImage& u, std::uint64_t txn_id,
     client_->sci_memcpy_write(m.undo, tail_, buf, hint, config_->optimized_sci_memcpy);
     stats_->bytes_undo_remote += buf.size();
     ++stats_->undo_writes;
-    if (observer != nullptr) {
+    if (validator != nullptr) {
       // Peek at the mirror's memory directly (no simulated traffic): the
       // serialized entry just written must byte-match the local log.
       const auto remote =
           cluster_->node(m.server->host()).mem(m.undo.offset + tail_, buf.size());
-      observer->on_undo_push(txn_id, buf, remote);
+      validator->on_undo_push(txn_id, buf, remote);
     }
   }
   tail_ += undo_entry_bytes(u.before.size());

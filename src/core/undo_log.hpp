@@ -31,11 +31,14 @@
 #include "netram/cluster.hpp"
 #include "netram/remote_memory.hpp"
 
+namespace perseas::check {
+class TxnValidator;
+}  // namespace perseas::check
+
 namespace perseas::core {
 
 struct MetaHeader;
 struct UndoEntryHeader;
-class TxnObserver;
 
 /// The undo-log capacity after doubling `current` until it holds
 /// `required` bytes.  Throws OutOfRemoteMemory instead of wrapping when the
@@ -111,10 +114,10 @@ class UndoLog {
                        std::span<const TxnContext* const> open);
 
   /// Pushes one entry at the shared tail to every mirror (figure 3, step
-  /// 2), cross-checking through `observer` when installed, and advances
+  /// 2), cross-checking through `validator` when installed, and advances
   /// the tail.  The caller must have ensured capacity.
   void push(MirrorSet& mirrors, const UndoImage& u, std::uint64_t txn_id,
-            netram::StreamHint hint, TxnObserver* observer);
+            netram::StreamHint hint, check::TxnValidator* validator);
 
   // --- recovery --------------------------------------------------------
 

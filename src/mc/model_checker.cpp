@@ -113,33 +113,34 @@ struct ModelChecker::Outcome {
 
 ModelChecker::ModelChecker(McOptions options) : options_(std::move(options)) {}
 
-void ModelChecker::run_txn(McFixture& fixture, std::uint64_t txn_index) {
+void ModelChecker::run_txn(workload::TxnEngine& engine, std::uint64_t txn_index) {
   const McTxn& txn = spec_.txns[txn_index];
-  fixture.begin();
+  engine.begin();
   for (std::size_t j = 0; j < txn.ops.size(); ++j) {
     const McOp& op = txn.ops[j];
-    fixture.set_range(op.offset, op.size);
-    fill_op(fixture.db().subspan(op.offset, op.size), txn_index, j);
+    engine.set_range(op.offset, op.size);
+    fill_op(engine.db().subspan(op.offset, op.size), txn_index, j);
   }
-  fixture.commit();
+  engine.commit();
 }
 
-void ModelChecker::run_txn_ops(McFixture& fixture, std::uint64_t txn_index, std::uint32_t slot) {
+void ModelChecker::run_txn_ops(workload::TxnEngine& engine, std::uint64_t txn_index,
+                               std::uint32_t slot) {
   const McTxn& txn = spec_.txns[txn_index];
-  fixture.begin_slot(slot);
+  engine.begin_slot(slot);
   for (std::size_t j = 0; j < txn.ops.size(); ++j) {
     const McOp& op = txn.ops[j];
-    fixture.set_range_slot(slot, op.offset, op.size);
-    fill_op(fixture.db().subspan(op.offset, op.size), txn_index, j);
+    engine.set_range_slot(slot, op.offset, op.size);
+    fill_op(engine.db().subspan(op.offset, op.size), txn_index, j);
   }
 }
 
-void ModelChecker::run_workload(McFixture& fixture, std::uint64_t txn_limit,
+void ModelChecker::run_workload(workload::TxnEngine& engine, std::uint64_t txn_limit,
                                 std::uint64_t& crash_txn) {
   if (!spec_.interleaved) {
     for (std::uint64_t t = 0; t < txn_limit; ++t) {
       crash_txn = t;
-      run_txn(fixture, t);
+      run_txn(engine, t);
     }
     crash_txn = txn_limit;
     return;
@@ -151,21 +152,21 @@ void ModelChecker::run_workload(McFixture& fixture, std::uint64_t txn_limit,
   // states_[t] — and advances to t+1 only for txn t+1's own commit.
   for (std::uint64_t t = 0; t < txn_limit; t += 2) {
     crash_txn = t;
-    run_txn_ops(fixture, t, 0);
+    run_txn_ops(engine, t, 0);
     const bool pair = t + 1 < txn_limit;
-    if (pair) run_txn_ops(fixture, t + 1, 1);
-    fixture.commit_slot(0);
+    if (pair) run_txn_ops(engine, t + 1, 1);
+    engine.commit_slot(0);
     if (pair) {
       crash_txn = t + 1;
-      fixture.commit_slot(1);
+      engine.commit_slot(1);
     }
   }
   crash_txn = txn_limit;
 }
 
 void ModelChecker::discover(McResult& result) {
-  auto fixture = make_fixture(options_.engine, options_.fixture);
-  auto& injector = fixture->cluster().failures();
+  McFixture fixture(options_.engine, options_.db_size, options_.seed);
+  auto& injector = fixture.cluster().failures();
   const auto baseline = injector.snapshot();
 
   // Reference images are serial regardless of schedule: interleaved pairs
@@ -178,16 +179,16 @@ void ModelChecker::discover(McResult& result) {
     states_.push_back(ref.copy());
   }
   std::uint64_t ignored = 0;
-  run_workload(*fixture, options_.txns, ignored);
+  run_workload(fixture.engine(), options_.txns, ignored);
 
   result.points = window_delta(baseline, injector.snapshot());
-  const auto db = fixture->db();
+  const auto db = fixture.engine().db();
   if (const auto mm = first_mismatch(states_.back(), db)) {
     McViolation v;
     v.invariant = "model";
     v.txn = options_.txns;
     v.detail = "crash-free run diverges from the reference model at " + describe_mismatch(*mm);
-    attach_timeline(v, *fixture);
+    attach_timeline(v, fixture);
     result.violations.push_back(std::move(v));
   }
 }
@@ -197,17 +198,16 @@ ModelChecker::Outcome ModelChecker::explore(const Combo& combo, std::uint64_t tx
                                             std::uint64_t nested_hit,
                                             bool want_recovery_window) {
   Outcome out;
-  auto fixture = make_fixture(options_.engine, options_.fixture);
-  McFixture* fx = fixture.get();
-  auto& injector = fixture->cluster().failures();
+  McFixture fixture(options_.engine, options_.db_size, options_.seed);
+  auto& injector = fixture.cluster().failures();
   const sim::FailureKind kind = combo.kind;
 
   if (combo.point) {
     // arm() counts relative to the current hit count, so construction-time
     // hits cancel out and `combo.hit` indexes the discovery window directly.
     const PointId point = *combo.point;
-    injector.arm(point, combo.hit, [fx, kind, point] {
-      fx->crash(kind);
+    injector.arm(point, combo.hit, [&fixture, kind, point] {
+      fixture.crash(kind);
       throw sim::NodeCrashed(0, kind, point.name());
     });
   }
@@ -215,12 +215,12 @@ ModelChecker::Outcome ModelChecker::explore(const Combo& combo, std::uint64_t tx
   std::uint64_t crash_txn = txn_limit;
   bool fired = false;
   try {
-    run_workload(*fixture, txn_limit, crash_txn);
+    run_workload(fixture.engine(), txn_limit, crash_txn);
   } catch (const sim::NodeCrashed&) {
     fired = true;
   }
   if (!combo.point) {
-    fixture->crash(kind);
+    fixture.crash(kind);
     fired = true;
     crash_txn = txn_limit;
   }
@@ -236,18 +236,18 @@ ModelChecker::Outcome ModelChecker::explore(const Combo& combo, std::uint64_t tx
   const auto before_recover = injector.snapshot();
   if (nested_point) {
     const PointId np = *nested_point;
-    injector.arm(np, nested_hit, [fx, kind, np] {
-      fx->crash(kind);
+    injector.arm(np, nested_hit, [&fixture, kind, np] {
+      fixture.crash(kind);
       throw sim::NodeCrashed(0, kind, np.name());
     });
   }
   try {
     try {
-      fixture->recover();
+      fixture.recover();
     } catch (const sim::NodeCrashed&) {
       // Nested crash inside recovery: the second recovery attempt must
       // succeed and still satisfy every invariant below.
-      fixture->recover();
+      fixture.recover();
     }
   } catch (const std::exception& e) {
     injector.clear();
@@ -255,7 +255,7 @@ ModelChecker::Outcome ModelChecker::explore(const Combo& combo, std::uint64_t tx
     v.invariant = "recovery";
     v.txn = crash_txn;
     v.detail = std::string("recovery failed: ") + e.what();
-    attach_timeline(v, *fixture);
+    attach_timeline(v, fixture);
     out.violation = std::move(v);
     return out;
   }
@@ -264,7 +264,7 @@ ModelChecker::Outcome ModelChecker::explore(const Combo& combo, std::uint64_t tx
     out.recovery_window = window_delta(before_recover, injector.snapshot());
   }
 
-  const auto db = fixture->db();
+  const auto db = fixture.engine().db();
   const bool committed =
       !combo.point || std::find(committed_points_.begin(), committed_points_.end(),
                                 *combo.point) != committed_points_.end();
@@ -302,18 +302,18 @@ ModelChecker::Outcome ModelChecker::explore(const Combo& combo, std::uint64_t tx
     }
   }
   if (out.violation) {
-    attach_timeline(*out.violation, *fixture);
+    attach_timeline(*out.violation, fixture);
     return out;
   }
 
   try {
-    fixture->check_hygiene();
+    fixture.check_hygiene();
   } catch (const std::exception& e) {
     McViolation v;
     v.invariant = "hygiene";
     v.txn = crash_txn;
     v.detail = e.what();
-    attach_timeline(v, *fixture);
+    attach_timeline(v, fixture);
     out.violation = std::move(v);
   }
   injector.clear();
@@ -352,8 +352,6 @@ McResult ModelChecker::run() {
   const EnvGuard env("PERSEAS_MC_SEED_BUG", "skip-flag-clear", options_.seed_bug);
 
   if (options_.txns == 0) throw std::invalid_argument("ModelChecker: txns must be >= 1");
-  options_.fixture.db_size = options_.db_size;
-  options_.fixture.seed = options_.seed;
   spec_ = make_workload(options_.workload, options_.txns, options_.db_size, options_.seed,
                         options_.script);
 
@@ -366,15 +364,16 @@ McResult ModelChecker::run() {
 
   // Engine capabilities (constant per engine; probed once).
   {
-    const auto probe = make_fixture(options_.engine, options_.fixture);
-    if (spec_.interleaved && probe->max_slots() < 2) {
+    McFixture probe(options_.engine, options_.db_size, options_.seed);
+    const std::uint32_t slots = probe.engine().max_open_txns();
+    if (spec_.interleaved && slots < 2) {
       throw std::invalid_argument("ModelChecker: workload '" + spec_.name +
                                   "' keeps two transactions open, but engine '" +
                                   options_.engine + "' supports only " +
-                                  std::to_string(probe->max_slots()) + " slot(s)");
+                                  std::to_string(slots) + " slot(s)");
     }
-    committed_points_ = probe->committed_points();
-    std::vector<sim::FailureKind> supported = probe->supported_kinds();
+    committed_points_ = probe.committed_points();
+    std::vector<sim::FailureKind> supported = probe.supported_kinds();
     if (options_.kinds.empty()) {
       kinds_ = supported;
     } else {

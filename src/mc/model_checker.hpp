@@ -15,7 +15,8 @@
 //               workload) must preserve every acknowledged transaction
 //   recovery    the recovery path itself completes without error, even when
 //               a nested crash interrupts it (--nested)
-//   hygiene     recovery leaves no armed propagation flag / replayable log
+//   hygiene     a second recovery applies nothing (no armed propagation
+//               flag, no replayable log)
 //
 // Counterexamples are minimized to the shortest workload prefix that still
 // reproduces them, so a report names the smallest failing schedule.
@@ -59,7 +60,6 @@ struct McOptions {
   /// Stop after discovery: report the reachable failure points, explore
   /// nothing (tools/perseas-mc --list-points).
   bool discover_only = false;
-  McFixtureOptions fixture;
   /// Reproduction filters: restrict exploration to one point (a registry
   /// name or kPostWorkload) and optionally one hit index from a previous
   /// report.  run() throws std::invalid_argument when they select no
@@ -120,15 +120,16 @@ class ModelChecker {
   struct Combo;
   struct Outcome;
 
-  void run_txn(McFixture& fixture, std::uint64_t txn_index);
+  void run_txn(workload::TxnEngine& engine, std::uint64_t txn_index);
   /// begin + ops of one transaction on `slot`, without the commit
   /// (interleaved schedule building block).
-  void run_txn_ops(McFixture& fixture, std::uint64_t txn_index, std::uint32_t slot);
+  void run_txn_ops(workload::TxnEngine& engine, std::uint64_t txn_index, std::uint32_t slot);
   /// Executes the first `txn_limit` transactions — serially, or in the
   /// interleaved two-slot schedule when the workload asks for it — keeping
   /// `crash_txn` equal to the atomicity boundary index throughout, so a
   /// crash escaping this function names the right states_ pair.
-  void run_workload(McFixture& fixture, std::uint64_t txn_limit, std::uint64_t& crash_txn);
+  void run_workload(workload::TxnEngine& engine, std::uint64_t txn_limit,
+                    std::uint64_t& crash_txn);
   void discover(McResult& result);
   Outcome explore(const Combo& combo, std::uint64_t txn_limit,
                   std::optional<core::points::PointId> nested_point, std::uint64_t nested_hit,

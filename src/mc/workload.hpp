@@ -36,9 +36,9 @@ struct McWorkloadSpec {
   std::uint64_t db_size = 0;
   std::vector<McTxn> txns;
   /// Run the interleaved schedule: transaction pairs (2k, 2k+1) are open
-  /// concurrently on two fixture slots, with commits in index order, so
+  /// concurrently on two engine slots, with commits in index order, so
   /// the reference images states[t] keep their serial meaning.  Requires
-  /// a fixture with max_slots() >= 2 and parity-disjoint write sets
+  /// an engine with max_open_txns() >= 2 and parity-disjoint write sets
   /// (guaranteed by the "interleaved" generator).
   bool interleaved = false;
 };
@@ -58,7 +58,7 @@ void fill_op(std::span<std::byte> dst, std::uint64_t txn_index, std::uint64_t op
 ///                   from the lower half of the database and odd-indexed
 ///                   from the upper half; sets `interleaved` so the
 ///                   checker keeps each pair open concurrently on two
-///                   fixture slots.
+///                   engine slots.
 ///   "scripted"      parsed from `script`: one transaction per line, ops as
 ///                   whitespace-separated "offset:size" tokens, '#' starts
 ///                   a comment.

@@ -26,10 +26,7 @@ Cluster::Cluster(const sim::HardwareProfile& profile, const ClusterConfig& confi
   if (config.node_count == 0) throw std::invalid_argument("Cluster: need at least one node");
   nodes_.reserve(config.node_count);
   for (std::uint32_t i = 0; i < config.node_count; ++i) {
-    std::uint32_t supply = 0;
-    if (config.per_node_power_supplies || supplies_.empty()) {
-      supply = add_power_supply("ups-" + std::to_string(i));
-    }
+    const std::uint32_t supply = add_power_supply("ups-" + std::to_string(i));
     nodes_.push_back(std::make_unique<Node>(i, "node-" + std::to_string(i),
                                             config.arena_bytes_per_node, supply));
   }

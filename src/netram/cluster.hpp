@@ -1,9 +1,11 @@
 // The simulated network of workstations.
 //
-// Cluster owns the shared simulated clock, the nodes, the power supplies,
-// the SCI link model, and the failure injector.  Every cross-node data
-// movement and every charged local operation goes through this class, which
-// is what guarantees uniform liveness checking and cost accounting.
+// Cluster owns the shared simulated clock, the nodes, the power supplies
+// (one per node, the paper's deployment requirement; attach_power moves
+// nodes onto a shared one), the SCI link model, and the failure injector.
+// Every cross-node data movement and every charged local operation goes
+// through this class, which is what guarantees uniform liveness checking
+// and cost accounting.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +46,6 @@ struct NetworkStats {
 struct ClusterConfig {
   std::uint32_t node_count = 2;
   std::uint64_t arena_bytes_per_node = 64ull << 20;  // 64 MB, as in the paper
-  /// When true (default) each node gets its own power supply — the paper's
-  /// deployment requirement.  Tests override to demonstrate the shared-
-  /// supply failure mode.
-  bool per_node_power_supplies = true;
   std::uint64_t seed = 0x9e1998;
 };
 

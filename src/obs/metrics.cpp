@@ -25,7 +25,6 @@ MetricsRegistry::Metric& MetricsRegistry::find_or_create(Kind kind, std::string_
   m->name = name;
   m->labels = labels;
   m->help = help;
-  if (kind == Kind::kHistogram) m->histogram = std::make_unique<Histogram>();
   metrics_.push_back(std::move(m));
   return *metrics_.back();
 }
@@ -42,12 +41,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help,
   return find_or_create(Kind::kGauge, name, help, labels).gauge;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name, std::string_view help,
-                                      std::string_view labels) {
-  sync::LockGuard lock(mu_);
-  return *find_or_create(Kind::kHistogram, name, help, labels).histogram;
-}
-
 namespace {
 
 std::string format_double(double v) {
@@ -58,20 +51,9 @@ std::string format_double(double v) {
 }
 
 /// "name" or "name{labels}".
-std::string series(const std::string& name, const std::string& labels,
-                   const std::string& extra = "") {
-  std::string body = labels;
-  if (!extra.empty()) {
-    if (!body.empty()) body += ',';
-    body += extra;
-  }
-  if (body.empty()) return name;
-  return name + "{" + body + "}";
-}
-
-/// Quantile of a possibly-empty summary as JSON (null when empty).
-Json quantile_json(const sim::Summary& s, double q) {
-  return s.count() == 0 ? Json() : Json(s.percentile(q));
+std::string series(const std::string& name, const std::string& labels) {
+  if (labels.empty()) return name;
+  return name + "{" + labels + "}";
 }
 
 }  // namespace
@@ -84,32 +66,12 @@ std::string MetricsRegistry::to_prometheus() const {
     if (m->name != last_family) {
       last_family = m->name;
       if (!m->help.empty()) out += "# HELP " + m->name + " " + m->help + "\n";
-      switch (m->kind) {
-        case Kind::kCounter: out += "# TYPE " + m->name + " counter\n"; break;
-        case Kind::kGauge: out += "# TYPE " + m->name + " gauge\n"; break;
-        case Kind::kHistogram: out += "# TYPE " + m->name + " summary\n"; break;
-      }
+      out += "# TYPE " + m->name + (m->kind == Kind::kCounter ? " counter\n" : " gauge\n");
     }
-    switch (m->kind) {
-      case Kind::kCounter:
-        out += series(m->name, m->labels) + " " + std::to_string(m->counter.value()) + "\n";
-        break;
-      case Kind::kGauge:
-        out += series(m->name, m->labels) + " " + format_double(m->gauge.value()) + "\n";
-        break;
-      case Kind::kHistogram: {
-        const sim::Summary& s = m->histogram->summary();
-        for (const double q : {0.5, 0.9, 0.99}) {
-          const std::string qs = format_double(q);
-          const double v = s.count() == 0 ? std::nan("") : s.percentile(q);
-          out += series(m->name, m->labels, "quantile=\"" + qs + "\"") + " " +
-                 format_double(v) + "\n";
-        }
-        out += series(m->name + "_sum", m->labels) + " " + format_double(s.total()) + "\n";
-        out += series(m->name + "_count", m->labels) + " " + std::to_string(s.count()) + "\n";
-        break;
-      }
-    }
+    out += series(m->name, m->labels) + " " +
+           (m->kind == Kind::kCounter ? std::to_string(m->counter.value())
+                                      : format_double(m->gauge.value())) +
+           "\n";
   }
   return out;
 }
@@ -118,31 +80,17 @@ Json MetricsRegistry::to_json() const {
   sync::LockGuard lock(mu_);
   Json counters = Json::object();
   Json gauges = Json::object();
-  Json histograms = Json::object();
   for (const auto& m : metrics_) {
     const std::string key = series(m->name, m->labels);
-    switch (m->kind) {
-      case Kind::kCounter: counters.set(key, m->counter.value()); break;
-      case Kind::kGauge: gauges.set(key, m->gauge.value()); break;
-      case Kind::kHistogram: {
-        const sim::Summary& s = m->histogram->summary();
-        Json h = Json::object();
-        h.set("count", s.count());
-        h.set("sum", s.total());
-        h.set("mean", s.count() == 0 ? Json() : Json(s.mean()));
-        h.set("p50", quantile_json(s, 0.5));
-        h.set("p90", quantile_json(s, 0.9));
-        h.set("p99", quantile_json(s, 0.99));
-        h.set("max", s.count() == 0 ? Json() : Json(s.max()));
-        histograms.set(key, std::move(h));
-        break;
-      }
+    if (m->kind == Kind::kCounter) {
+      counters.set(key, m->counter.value());
+    } else {
+      gauges.set(key, m->gauge.value());
     }
   }
   Json doc = Json::object();
   doc.set("counters", std::move(counters));
   doc.set("gauges", std::move(gauges));
-  doc.set("histograms", std::move(histograms));
   return doc;
 }
 

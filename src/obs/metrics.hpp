@@ -1,5 +1,5 @@
-// Named-metric registry: counters, gauges, and histograms, dumped as
-// Prometheus text format and as machine-readable JSON.
+// Named-metric registry: counters and gauges, dumped as Prometheus text
+// format and as machine-readable JSON.
 //
 // Metrics are exported on dump: every layer already keeps an authoritative
 // stats struct (core::PerseasStats, netram::NetworkStats, disk::DiskStats,
@@ -14,14 +14,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/sync.hpp"
 #include "obs/json.hpp"
-#include "sim/stats.hpp"
 
 namespace perseas::obs {
 
@@ -45,28 +43,9 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Sample distribution backed by the repo's exact-percentile sim::Summary
-/// plus a sim::Log2Histogram for shape; exported as a Prometheus summary
-/// (quantile series + _sum + _count).
-class Histogram {
- public:
-  void observe(double v) {
-    summary_.add(v);
-    log2_.add(v <= 0.0 ? 0 : static_cast<std::uint64_t>(v));
-  }
-
-  [[nodiscard]] const sim::Summary& summary() const noexcept { return summary_; }
-  [[nodiscard]] const sim::Log2Histogram& shape() const noexcept { return log2_; }
-  [[nodiscard]] std::uint64_t count() const noexcept { return summary_.count(); }
-
- private:
-  sim::Summary summary_;
-  sim::Log2Histogram log2_;
-};
-
 /// The metric table is guarded by mu_: registration (find-or-create) and
 /// serialization may race once worker threads arrive.  The *returned*
-/// Counter/Gauge/Histogram references are deliberately outside the lock's
+/// Counter/Gauge references are deliberately outside the lock's
 /// scope — they are stable for the registry's lifetime and each belongs to
 /// exactly one instrumenting component, per the export-on-dump contract
 /// above.
@@ -84,8 +63,6 @@ class MetricsRegistry {
                    std::string_view labels = "");
   Gauge& gauge(std::string_view name, std::string_view help = "",
                std::string_view labels = "");
-  Histogram& histogram(std::string_view name, std::string_view help = "",
-                       std::string_view labels = "");
 
   [[nodiscard]] std::size_t size() const noexcept {
     sync::LockGuard lock(mu_);
@@ -95,8 +72,7 @@ class MetricsRegistry {
   /// Prometheus text exposition format (one HELP/TYPE block per family).
   [[nodiscard]] std::string to_prometheus() const;
 
-  /// Machine-readable dump: {"counters": {...}, "gauges": {...},
-  /// "histograms": {name: {count, mean, p50, p99, max, sum}}}.
+  /// Machine-readable dump: {"counters": {...}, "gauges": {...}}.
   [[nodiscard]] Json to_json() const;
 
   /// Writes the registry to `path`: Prometheus text when the path ends in
@@ -106,7 +82,7 @@ class MetricsRegistry {
   void save(const std::string& path) const;
 
  private:
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
+  enum class Kind : std::uint8_t { kCounter, kGauge };
 
   struct Metric {
     Kind kind = Kind::kCounter;
@@ -115,7 +91,6 @@ class MetricsRegistry {
     std::string help;
     Counter counter;
     Gauge gauge;
-    std::unique_ptr<Histogram> histogram;
   };
 
   Metric& find_or_create(Kind kind, std::string_view name, std::string_view help,

@@ -1,9 +1,7 @@
 #include "sim/stats.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
@@ -60,47 +58,6 @@ void Summary::clear() {
   mean_ = 0.0;
   m2_ = 0.0;
   total_ = 0.0;
-}
-
-void Log2Histogram::add(std::uint64_t value) noexcept {
-  const int bucket = value == 0 ? 0 : 64 - std::countl_zero(value);
-  counts_[bucket >= kBuckets ? kBuckets - 1 : bucket]++;
-  ++total_;
-}
-
-std::uint64_t Log2Histogram::bucket_count(int bucket) const noexcept {
-  if (bucket < 0 || bucket >= kBuckets) return 0;
-  return counts_[bucket];
-}
-
-std::string Log2Histogram::render() const {
-  std::string out = "value range (inclusive)           count  distribution\n";
-  if (total_ == 0) {
-    out += "(no samples)\n";
-    return out;
-  }
-  std::uint64_t max_count = 0;
-  for (const std::uint64_t c : counts_) max_count = std::max(max_count, c);
-
-  constexpr int kBarWidth = 32;
-  char line[160];
-  for (int b = 0; b < kBuckets; ++b) {
-    if (counts_[b] == 0) continue;
-    char hi_text[24];
-    if (bucket_hi(b) == UINT64_MAX) {
-      std::snprintf(hi_text, sizeof hi_text, "%13s", "+inf");
-    } else {
-      std::snprintf(hi_text, sizeof hi_text, "%13llu",
-                    static_cast<unsigned long long>(bucket_hi(b)));
-    }
-    const int bar = static_cast<int>((counts_[b] * kBarWidth + max_count - 1) / max_count);
-    std::snprintf(line, sizeof line, "[%13llu, %s] %10llu  %.*s\n",
-                  static_cast<unsigned long long>(bucket_lo(b)), hi_text,
-                  static_cast<unsigned long long>(counts_[b]), bar,
-                  "********************************");
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace perseas::sim

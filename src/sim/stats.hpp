@@ -1,8 +1,7 @@
-// Summary statistics and histograms for simulated measurements.
+// Summary statistics for simulated measurements.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/sim_time.hpp"
@@ -67,36 +66,6 @@ class LatencyRecorder {
 
  private:
   Summary us_;
-};
-
-/// Fixed-bucket log2 histogram (for distribution shape in reports).
-class Log2Histogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  void add(std::uint64_t value) noexcept;
-  [[nodiscard]] std::uint64_t bucket_count(int bucket) const noexcept;
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
-  /// Inclusive value range covered by `bucket`: [bucket_lo, bucket_hi].
-  /// The last bucket also absorbs every larger value, so its bucket_hi is
-  /// UINT64_MAX (rendered as "+inf").
-  [[nodiscard]] static constexpr std::uint64_t bucket_lo(int bucket) noexcept {
-    return bucket <= 0 ? 0 : 1ULL << (bucket - 1);
-  }
-  [[nodiscard]] static constexpr std::uint64_t bucket_hi(int bucket) noexcept {
-    return bucket >= kBuckets - 1 ? UINT64_MAX : (1ULL << bucket) - 1;
-  }
-
-  /// Text rendering with a labelled axis: a header line, one row per
-  /// occupied bucket with its inclusive value range, the count, and a
-  /// proportional bar.  Empty histogram renders the header plus
-  /// "(no samples)".
-  [[nodiscard]] std::string render() const;
-
- private:
-  std::uint64_t counts_[kBuckets]{};
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace perseas::sim

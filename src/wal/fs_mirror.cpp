@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/cost_ledger.hpp"
 #include "obs/metrics.hpp"
 
 namespace perseas::wal {
@@ -28,14 +29,17 @@ FsMirror::FsMirror(netram::Cluster& cluster, netram::NodeId local,
 }
 
 void FsMirror::begin_transaction() {
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_ + 1, "begin", "wal", "cpu");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_begin);
   if (in_txn_) throw std::logic_error("FsMirror: transaction already active");
   in_txn_ = true;
+  ++txn_counter_;
   undo_.clear();
   dirty_blocks_.clear();
 }
 
 void FsMirror::set_range(std::uint64_t offset, std::uint64_t size) {
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_, "set_range", "wal", "cpu");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_set_range);
   if (!in_txn_) throw std::logic_error("FsMirror: set_range outside a transaction");
   if (offset + size > db_.size() || offset + size < offset) {
@@ -57,6 +61,7 @@ void FsMirror::set_range(std::uint64_t offset, std::uint64_t size) {
 }
 
 void FsMirror::commit_transaction() {
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_, "commit", "wal", "cpu");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_commit);
   if (!in_txn_) throw std::logic_error("FsMirror: commit outside a transaction");
   // Ship every dirty block, whole: the file-system granularity penalty.
@@ -76,6 +81,7 @@ void FsMirror::commit_transaction() {
 }
 
 void FsMirror::abort_transaction() {
+  const obs::ScopedCost scope(cluster_->sinks(), txn_counter_, "abort", "wal", "local");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_abort);
   if (!in_txn_) throw std::logic_error("FsMirror: abort outside a transaction");
   std::uint64_t bytes = 0;
@@ -91,6 +97,7 @@ void FsMirror::abort_transaction() {
 }
 
 void FsMirror::recover() {
+  const obs::ScopedCost scope(cluster_->sinks(), 0, "recover", "wal", "cpu");
   in_txn_ = false;
   undo_.clear();
   dirty_blocks_.clear();

@@ -79,6 +79,8 @@ class FsMirror {
   std::vector<UndoEntry> undo_;
   std::vector<std::uint64_t> dirty_blocks_;
   bool in_txn_ = false;
+  /// Id of the current (or last) transaction: the cost scopes' txn key.
+  std::uint64_t txn_counter_ = 0;
   FsMirrorStats stats_;
 };
 

@@ -74,10 +74,26 @@ class TxnEngine {
     abort();
   }
 
+  /// Recovers the database after a crash of app_node(): drops the open
+  /// slots, restarts the node if it is down, runs the engine's own
+  /// recovery and returns the log records it applied (0 when nothing was
+  /// left to replay or roll back).  Afterwards db() serves the recovered
+  /// image and new transactions may begin.  Default: the engine has no
+  /// recovery entry.
+  virtual std::uint64_t recover() {
+    throw std::logic_error("TxnEngine: '" + std::string(name()) + "' cannot recover");
+  }
+
   /// Folds the engine's own counters into `reg`.  Default: nothing.
   virtual void export_metrics(obs::MetricsRegistry& /*reg*/) const {}
 
  protected:
+  /// recover()'s first step for engines whose open transactions live in
+  /// the engine itself: brings a crashed app_node() back up.
+  void restart_app_node_if_down() {
+    if (cluster().node(app_node()).crashed()) cluster().restart_node(app_node());
+  }
+
   /// Rejects slots beyond max_open_txns().
   void check_slot(std::uint32_t slot) const {
     if (slot >= max_open_txns()) {

@@ -9,16 +9,18 @@ namespace perseas::workload {
 PerseasEngine::PerseasEngine(netram::Cluster& cluster, netram::NodeId local,
                              std::vector<netram::RemoteMemoryServer*> mirrors,
                              std::uint64_t db_size, core::PerseasConfig config)
-    : cluster_(&cluster), db_(cluster, local, mirrors, std::move(config)) {
-  record_ = db_.persistent_malloc(db_size);
-  db_.init_remote_db();
+    : cluster_(&cluster), local_(local), mirrors_(std::move(mirrors)),
+      config_(std::move(config)) {
+  db_.emplace(cluster, local, mirrors_, config_);
+  record_ = db_->persistent_malloc(db_size);
+  db_->init_remote_db();
 }
 
 void PerseasEngine::begin_slot(std::uint32_t slot) {
   check_slot(slot);
   sync::LockGuard lock(mu_);
   if (slots_[slot]) throw core::UsageError("PerseasEngine: slot already has an open transaction");
-  slots_[slot].emplace(db_.begin_transaction());
+  slots_[slot].emplace(db_->begin_transaction());
 }
 
 void PerseasEngine::set_range_slot(std::uint32_t slot, std::uint64_t offset,
@@ -51,6 +53,15 @@ void PerseasEngine::abort_slot(std::uint32_t slot) {
   if (!slots_[slot]) throw core::UsageError("PerseasEngine: abort outside a transaction");
   slots_[slot]->abort();
   slots_[slot].reset();
+}
+
+std::uint64_t PerseasEngine::recover() {
+  sync::LockGuard lock(mu_);
+  for (auto& slot : slots_) slot.reset();
+  restart_app_node_if_down();
+  db_.emplace(core::Perseas::RecoverTag{}, *cluster_, local_, mirrors_, config_);
+  record_ = db_->record(0);
+  return db_->recovery_report().entries_applied;
 }
 
 RvmEngine::RvmEngine(std::string name, netram::Cluster& cluster, netram::NodeId node,
@@ -89,7 +100,6 @@ std::string_view to_string(EngineKind kind) noexcept {
 EngineLab::EngineLab(EngineKind kind, const LabOptions& options) : kind_(kind) {
   netram::ClusterConfig cc;
   cc.node_count = 2;
-  cc.arena_bytes_per_node = options.arena_bytes_per_node;
   cc.seed = options.seed;
   cluster_ = std::make_unique<netram::Cluster>(options.profile, cc);
 

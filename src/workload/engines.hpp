@@ -26,6 +26,7 @@
 namespace perseas::workload {
 
 /// PERSEAS with the whole flat database in one persistent record.
+/// recover() rebuilds the instance in place from the mirrors.
 class PerseasEngine final : public TxnEngine {
  public:
   PerseasEngine(netram::Cluster& cluster, netram::NodeId local,
@@ -34,7 +35,7 @@ class PerseasEngine final : public TxnEngine {
 
   [[nodiscard]] std::string_view name() const noexcept override { return "perseas"; }
   [[nodiscard]] netram::Cluster& cluster() noexcept override { return *cluster_; }
-  [[nodiscard]] netram::NodeId app_node() const noexcept override { return db_.local_node(); }
+  [[nodiscard]] netram::NodeId app_node() const noexcept override { return local_; }
   [[nodiscard]] std::span<std::byte> db() override { return record_.bytes(); }
   [[nodiscard]] std::uint64_t db_size() const noexcept override { return record_.size(); }
 
@@ -58,13 +59,24 @@ class PerseasEngine final : public TxnEngine {
   void commit_slot(std::uint32_t slot) override;
   void abort_slot(std::uint32_t slot) override;
 
-  void export_metrics(obs::MetricsRegistry& reg) const override { db_.export_metrics(reg); }
+  /// Drops the open slots (an abort against the dead node is a no-op;
+  /// after a restart it would write into the new incarnation), restarts
+  /// the node and recovers a new instance from the mirrors.  Returns the
+  /// undo entries the recovery rolled back.  If the recovery itself
+  /// throws, only recover() may be called next.
+  std::uint64_t recover() override;
 
-  [[nodiscard]] core::Perseas& perseas() noexcept { return db_; }
+  void export_metrics(obs::MetricsRegistry& reg) const override { db_->export_metrics(reg); }
+
+  /// The current instance (a new one after each recover()).
+  [[nodiscard]] core::Perseas& perseas() noexcept { return *db_; }
 
  private:
   netram::Cluster* cluster_;
-  core::Perseas db_;
+  netram::NodeId local_;
+  std::vector<netram::RemoteMemoryServer*> mirrors_;
+  core::PerseasConfig config_;
+  std::optional<core::Perseas> db_;
   core::RecordHandle record_;
   /// Guards the slot table itself (which slots hold an open Transaction);
   /// held across the forwarded operation, so a slot cannot be re-targeted
@@ -93,11 +105,14 @@ class RvmEngine final : public TxnEngine {
   void commit() override { rvm_.commit_transaction(); }
   void abort() override { rvm_.abort_transaction(); }
 
+  std::uint64_t recover() override {
+    restart_app_node_if_down();
+    return rvm_.recover();
+  }
+
   void export_metrics(obs::MetricsRegistry& reg) const override {
     rvm_.export_metrics(reg, name_);
   }
-
-  [[nodiscard]] wal::Rvm& rvm() noexcept { return rvm_; }
 
  private:
   std::string name_;
@@ -124,11 +139,14 @@ class VistaEngine final : public TxnEngine {
   void commit() override { vista_.commit_transaction(); }
   void abort() override { vista_.abort_transaction(); }
 
+  std::uint64_t recover() override {
+    restart_app_node_if_down();
+    return vista_.recover();
+  }
+
   void export_metrics(obs::MetricsRegistry& reg) const override {
     vista_.export_metrics(reg, name());
   }
-
-  [[nodiscard]] wal::Vista& vista() noexcept { return vista_; }
 
  private:
   netram::Cluster* cluster_;
@@ -155,11 +173,14 @@ class RemoteWalEngine final : public TxnEngine {
   void commit() override { wal_.commit_transaction(); }
   void abort() override { wal_.abort_transaction(); }
 
+  std::uint64_t recover() override {
+    restart_app_node_if_down();
+    return wal_.recover();
+  }
+
   void export_metrics(obs::MetricsRegistry& reg) const override {
     wal_.export_metrics(reg, name());
   }
-
-  [[nodiscard]] wal::RemoteWal& wal() noexcept { return wal_; }
 
  private:
   netram::Cluster* cluster_;
@@ -185,11 +206,16 @@ class FsMirrorEngine final : public TxnEngine {
   void commit() override { mirror_.commit_transaction(); }
   void abort() override { mirror_.abort_transaction(); }
 
+  /// The mirror holds whole blocks, not a log: recovery applies nothing.
+  std::uint64_t recover() override {
+    restart_app_node_if_down();
+    mirror_.recover();
+    return 0;
+  }
+
   void export_metrics(obs::MetricsRegistry& reg) const override {
     mirror_.export_metrics(reg, name());
   }
-
-  [[nodiscard]] wal::FsMirror& fs_mirror() noexcept { return mirror_; }
 
  private:
   netram::Cluster* cluster_;
@@ -219,7 +245,6 @@ struct LabOptions {
   std::uint32_t group_commit_size = 256;
   core::PerseasConfig perseas;
   std::uint64_t log_capacity = 8 << 20;
-  std::uint64_t arena_bytes_per_node = 64ull << 20;
 
   /// Optional, not owned: the lab registers one track for the whole
   /// fixture and attaches the recorder to its cluster, so every cost scope

@@ -80,7 +80,7 @@ TEST_F(TxnValidatorTest, OverlappingAndDuplicateRangesMerge) {
   auto db = make_db();
   auto rec = db.persistent_malloc(64);
   db.init_remote_db();
-  auto* validator = dynamic_cast<TxnValidator*>(db.txn_observer());
+  auto* validator = db.validator();
   ASSERT_NE(validator, nullptr);
 
   auto txn = db.begin_transaction();
@@ -91,8 +91,8 @@ TEST_F(TxnValidatorTest, OverlappingAndDuplicateRangesMerge) {
   txn.set_range(rec, 32, 8);   // disjoint
   const auto ranges = validator->declared_ranges(rec.index());
   ASSERT_EQ(ranges.size(), 2u);
-  EXPECT_EQ(ranges[0], (ByteRange{0, 16}));
-  EXPECT_EQ(ranges[1], (ByteRange{32, 8}));
+  EXPECT_EQ(ranges[0], (core::ByteRange{0, 16}));
+  EXPECT_EQ(ranges[1], (core::ByteRange{32, 8}));
 
   // A write spanning the whole merged interval is covered even though no
   // single set_range call declared it.
@@ -156,7 +156,7 @@ TEST_F(TxnValidatorTest, UnusedDeclaredRangeWarns) {
   auto db = make_db();
   auto rec = db.persistent_malloc(64);
   db.init_remote_db();
-  auto* validator = dynamic_cast<TxnValidator*>(db.txn_observer());
+  auto* validator = db.validator();
   ASSERT_NE(validator, nullptr);
 
   auto txn = db.begin_transaction();
@@ -250,7 +250,7 @@ TEST_F(TxnValidatorTest, ZeroOverheadWhenOff) {
   db.init_remote_db();
 
   EXPECT_FALSE(db.validating());
-  EXPECT_EQ(db.txn_observer(), nullptr);
+  EXPECT_EQ(db.validator(), nullptr);
 
   auto txn = db.begin_transaction();
   txn.set_range(rec, 0, 64);
@@ -258,7 +258,7 @@ TEST_F(TxnValidatorTest, ZeroOverheadWhenOff) {
   rec.bytes()[100] = std::byte{0x13};  // uncovered — and nobody checks
   txn.commit();
 
-  // No observer: no snapshots, no tracking, no cross-checks — every
+  // No validator: no snapshots, no tracking, no cross-checks — every
   // validator counter stays zero.
   const auto stats = db.validator_stats();
   EXPECT_EQ(stats.txns_observed, 0u);

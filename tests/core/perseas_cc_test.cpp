@@ -166,7 +166,7 @@ TEST_F(PerseasCcTest, ValidationFailureLeavesTheWriteSetValidatorTracking) {
   auto c = db.begin_transaction();
   a.abort();
   EXPECT_NO_THROW(c.commit());
-  EXPECT_EQ(db.txn_observer()->stats().aborts_checked, 1u);
+  EXPECT_EQ(db.validator()->stats().aborts_checked, 1u);
 }
 
 TEST_F(PerseasCcTest, ValidateAbortsAStaleReadOnlyTransactionToo) {

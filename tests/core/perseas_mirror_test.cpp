@@ -131,10 +131,9 @@ TEST_F(PerseasMirrorTest, PowerOutageOnOneSupplySurvives) {
 TEST_F(PerseasMirrorTest, SharedSupplyIsASinglePointOfFailure) {
   // Counter-experiment: putting the primary and every mirror on ONE supply
   // recreates the failure mode the paper's deployment rule avoids.
-  netram::ClusterConfig cfg;
-  cfg.node_count = 3;
-  cfg.per_node_power_supplies = false;
-  netram::Cluster shared(sim::HardwareProfile::forth_1997(), cfg);
+  netram::Cluster shared(sim::HardwareProfile::forth_1997(), 3);
+  shared.attach_power(1, 0);
+  shared.attach_power(2, 0);
   netram::RemoteMemoryServer server(shared, 1);
   Perseas db(shared, 0, {&server}, {});
   (void)db.persistent_malloc(64);

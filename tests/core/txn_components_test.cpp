@@ -104,39 +104,29 @@ TEST(TxnContextTest, ResetEmptiesStateAndReusesSmallBuffers) {
 
 TEST(ConflictTableTest, FirstWriterWins) {
   ConflictTable table;
-  table.acquire(1, 0, 100, 50);
+  EXPECT_EQ(table.try_acquire(1, 0, 100, 50), 0u);
   EXPECT_EQ(table.claims_of(1), 1u);
-
-  try {
-    table.acquire(2, 0, 120, 10);
-    FAIL() << "expected TxnConflict";
-  } catch (const TxnConflict& e) {
-    EXPECT_EQ(e.txn(), 2u);
-    EXPECT_EQ(e.holder(), 1u);
-    EXPECT_EQ(e.record(), 0u);
-    EXPECT_EQ(e.offset(), 120u);
-    EXPECT_EQ(e.size(), 10u);
-  }
-  // The table is unchanged by the rejected acquire.
+  // The loser learns who holds the range, and the table is unchanged.
+  EXPECT_EQ(table.try_acquire(2, 0, 120, 10), 1u);
   EXPECT_EQ(table.claims_of(2), 0u);
 }
 
 TEST(ConflictTableTest, AdjacentAndOtherRecordRangesDoNotConflict) {
   ConflictTable table;
-  table.acquire(1, 0, 100, 50);
+  EXPECT_EQ(table.try_acquire(1, 0, 100, 50), 0u);
   // Half-open [100,150): a claim starting at 150 touches but never overlaps.
-  EXPECT_NO_THROW(table.acquire(2, 0, 150, 50));
-  EXPECT_NO_THROW(table.acquire(2, 0, 50, 50));
+  EXPECT_EQ(table.try_acquire(2, 0, 150, 50), 0u);
+  EXPECT_EQ(table.try_acquire(2, 0, 50, 50), 0u);
   // Same offsets on a different record are unrelated.
-  EXPECT_NO_THROW(table.acquire(2, 1, 100, 50));
+  EXPECT_EQ(table.try_acquire(2, 1, 100, 50), 0u);
   EXPECT_EQ(table.claims_of(2), 3u);
 }
 
 TEST(ConflictTableTest, OwnOverlapIsAllowed) {
   ConflictTable table;
-  table.acquire(1, 0, 100, 50);
-  EXPECT_NO_THROW(table.acquire(1, 0, 100, 50));
-  EXPECT_NO_THROW(table.acquire(1, 0, 125, 100));
+  EXPECT_EQ(table.try_acquire(1, 0, 100, 50), 0u);
+  EXPECT_EQ(table.try_acquire(1, 0, 100, 50), 0u);
+  EXPECT_EQ(table.try_acquire(1, 0, 125, 100), 0u);
 }
 
 // Regression: the overlap test used to compute `offset + size` in raw
@@ -146,20 +136,20 @@ TEST(ConflictTableTest, OwnOverlapIsAllowed) {
 TEST(ConflictTableTest, RangesAtTheTopOfTheAddressSpaceStillConflict) {
   constexpr std::uint64_t kTop = ~std::uint64_t{0};  // 2^64 - 1
   ConflictTable table;
-  table.acquire(1, 0, kTop - 7, 8);  // [2^64-8, 2^64): end unrepresentable
+  EXPECT_EQ(table.try_acquire(1, 0, kTop - 7, 8), 0u);  // [2^64-8, 2^64): end unrepresentable
   // Overlapping tail claims by another txn must be rejected...
-  EXPECT_THROW(table.acquire(2, 0, kTop - 3, 4), TxnConflict);
-  EXPECT_THROW(table.acquire(2, 0, kTop - 7, 8), TxnConflict);
-  EXPECT_THROW(table.acquire(2, 0, kTop, 1), TxnConflict);
+  EXPECT_EQ(table.try_acquire(2, 0, kTop - 3, 4), 1u);
+  EXPECT_EQ(table.try_acquire(2, 0, kTop - 7, 8), 1u);
+  EXPECT_EQ(table.try_acquire(2, 0, kTop, 1), 1u);
   EXPECT_EQ(table.claims_of(2), 0u);
   // ...while adjacent-below and far-away ranges still pass.
-  EXPECT_NO_THROW(table.acquire(2, 0, kTop - 15, 8));  // [2^64-16, 2^64-8)
-  EXPECT_NO_THROW(table.acquire(2, 0, 0, 16));
+  EXPECT_EQ(table.try_acquire(2, 0, kTop - 15, 8), 0u);  // [2^64-16, 2^64-8)
+  EXPECT_EQ(table.try_acquire(2, 0, 0, 16), 0u);
   EXPECT_EQ(table.claims_of(2), 2u);
   // The inverse order wraps the same way: probe low, holder at the top.
   ConflictTable inverse;
-  inverse.acquire(1, 0, kTop, 1);
-  EXPECT_THROW(inverse.acquire(2, 0, kTop - 1, 2), TxnConflict);
+  EXPECT_EQ(inverse.try_acquire(1, 0, kTop, 1), 0u);
+  EXPECT_EQ(inverse.try_acquire(2, 0, kTop - 1, 2), 1u);
 }
 
 // Regression: same-owner re-declarations used to push one Claim each, so a
@@ -168,57 +158,57 @@ TEST(ConflictTableTest, RangesAtTheTopOfTheAddressSpaceStillConflict) {
 // separate.
 TEST(ConflictTableTest, SameOwnerRedeclarationsCoalesce) {
   ConflictTable table;
-  for (int i = 0; i < 1'000; ++i) table.acquire(1, 0, 100, 50);
+  for (int i = 0; i < 1'000; ++i) ASSERT_EQ(table.try_acquire(1, 0, 100, 50), 0u);
   EXPECT_EQ(table.claims_of(1), 1u) << "identical re-declarations must not accumulate";
 
-  table.acquire(1, 0, 125, 100);  // overlapping: widens to [100, 225)
-  table.acquire(1, 0, 225, 25);   // adjacent: widens to [100, 250)
+  EXPECT_EQ(table.try_acquire(1, 0, 125, 100), 0u);  // overlapping: widens to [100, 225)
+  EXPECT_EQ(table.try_acquire(1, 0, 225, 25), 0u);   // adjacent: widens to [100, 250)
   EXPECT_EQ(table.claims_of(1), 1u);
-  table.acquire(1, 0, 400, 10);  // disjoint: its own claim
+  EXPECT_EQ(table.try_acquire(1, 0, 400, 10), 0u);  // disjoint: its own claim
   EXPECT_EQ(table.claims_of(1), 2u);
   // A bridge between the two absorbs both into one claim.
-  table.acquire(1, 0, 250, 150);
+  EXPECT_EQ(table.try_acquire(1, 0, 250, 150), 0u);
   EXPECT_EQ(table.claims_of(1), 1u);
 
   // The merged claim still defends its full extent against other txns.
-  EXPECT_THROW(table.acquire(2, 0, 409, 1), TxnConflict);
-  EXPECT_THROW(table.acquire(2, 0, 100, 1), TxnConflict);
-  EXPECT_NO_THROW(table.acquire(2, 0, 410, 10));
+  EXPECT_EQ(table.try_acquire(2, 0, 409, 1), 1u);
+  EXPECT_EQ(table.try_acquire(2, 0, 100, 1), 1u);
+  EXPECT_EQ(table.try_acquire(2, 0, 410, 10), 0u);
 }
 
 TEST(ConflictTableTest, EmptyRangeClaimsNothing) {
   ConflictTable table;
-  table.acquire(1, 0, 100, 0);
+  EXPECT_EQ(table.try_acquire(1, 0, 100, 0), 0u);
   EXPECT_EQ(table.claims_of(1), 0u);
   EXPECT_TRUE(table.empty());
   // And never conflicts, even inside a foreign claim.
-  table.acquire(2, 0, 50, 100);
-  EXPECT_NO_THROW(table.acquire(1, 0, 75, 0));
+  EXPECT_EQ(table.try_acquire(2, 0, 50, 100), 0u);
+  EXPECT_EQ(table.try_acquire(1, 0, 75, 0), 0u);
   EXPECT_EQ(table.claims_of(1), 0u);
 }
 
 TEST(ConflictTableTest, ReleaseDropsAllClaimsOfOneTxn) {
   ConflictTable table;
-  table.acquire(1, 0, 0, 10);
-  table.acquire(1, 1, 0, 10);
-  table.acquire(2, 0, 50, 10);
+  EXPECT_EQ(table.try_acquire(1, 0, 0, 10), 0u);
+  EXPECT_EQ(table.try_acquire(1, 1, 0, 10), 0u);
+  EXPECT_EQ(table.try_acquire(2, 0, 50, 10), 0u);
   EXPECT_FALSE(table.empty());
 
   table.release(1);
   EXPECT_EQ(table.claims_of(1), 0u);
   EXPECT_EQ(table.claims_of(2), 1u);
   // 1's ranges are free again; 2's survive.
-  EXPECT_NO_THROW(table.acquire(3, 0, 0, 10));
-  EXPECT_THROW(table.acquire(3, 0, 50, 10), TxnConflict);
+  EXPECT_EQ(table.try_acquire(3, 0, 0, 10), 0u);
+  EXPECT_EQ(table.try_acquire(3, 0, 50, 10), 2u);
 
   table.release(2);
   table.release(3);
   EXPECT_TRUE(table.empty());
 
   // A record whose claims all went is claimable again, and tracked again.
-  table.acquire(4, 1, 5, 5);
+  EXPECT_EQ(table.try_acquire(4, 1, 5, 5), 0u);
   EXPECT_FALSE(table.empty());
-  EXPECT_THROW(table.acquire(5, 1, 0, 10), TxnConflict);
+  EXPECT_EQ(table.try_acquire(5, 1, 0, 10), 4u);
   table.release(4);
   EXPECT_TRUE(table.empty());
 }

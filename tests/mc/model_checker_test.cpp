@@ -90,7 +90,7 @@ const McResult& perseas_nested_sweep() {
 }
 
 // The interleaved workload keeps transaction pairs open concurrently on
-// two fixture slots (CI also sweeps the other failure kinds; the points
+// two engine slots (CI also sweeps the other failure kinds; the points
 // reached are the same).
 const McResult& perseas_interleaved_sweep() {
   static const McResult result = [] {
@@ -325,7 +325,7 @@ TEST(McReport, RegistryDomainsCoverEveryKnownEngine) {
 TEST(McFixtureTest, KnownEnginesAndWorkloadsAreExposed) {
   EXPECT_EQ(known_engines().size(), 5u);
   EXPECT_EQ(known_workloads().size(), 4u);
-  EXPECT_THROW(make_fixture("no-such-engine", {}), std::invalid_argument);
+  EXPECT_THROW(McFixture("no-such-engine", 1024, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -25,13 +25,13 @@ TEST_F(ClusterTest, DefaultsGiveEachNodeItsOwnSupply) {
   EXPECT_NE(c.node(0).power_supply(), c.node(1).power_supply());
 }
 
-TEST_F(ClusterTest, SharedSupplyConfig) {
-  ClusterConfig cfg;
-  cfg.node_count = 3;
-  cfg.per_node_power_supplies = false;
-  Cluster c(profile_, cfg);
-  EXPECT_EQ(c.power_supply_count(), 1u);
+TEST_F(ClusterTest, AttachPowerSharesOneSupply) {
+  Cluster c(profile_, 3);
+  c.attach_power(1, c.node(0).power_supply());
+  c.attach_power(2, c.node(0).power_supply());
+  EXPECT_EQ(c.node(0).power_supply(), c.node(1).power_supply());
   EXPECT_EQ(c.node(0).power_supply(), c.node(2).power_supply());
+  EXPECT_THROW(c.attach_power(0, c.power_supply_count()), std::out_of_range);
 }
 
 TEST_F(ClusterTest, ZeroNodesRejected) {
@@ -84,10 +84,9 @@ TEST_F(ClusterTest, WriteFromCrashedNodeThrows) {
 }
 
 TEST_F(ClusterTest, PowerSupplyFailureCrashesAllAttachedNodes) {
-  ClusterConfig cfg;
-  cfg.node_count = 3;
-  cfg.per_node_power_supplies = false;
-  Cluster c(profile_, cfg);
+  Cluster c(profile_, 3);
+  c.attach_power(1, 0);
+  c.attach_power(2, 0);
   c.fail_power_supply(0);
   EXPECT_TRUE(c.node(0).crashed());
   EXPECT_TRUE(c.node(1).crashed());

@@ -1,6 +1,6 @@
 // The metrics registry: name+label lookup returns stable references, kind
 // mismatches are rejected, and both exposition formats (Prometheus text and
-// JSON) carry the exact counter values, including the summary quantiles.
+// JSON) carry the exact counter and gauge values.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -32,7 +32,6 @@ TEST(MetricsRegistry, KindMismatchThrows) {
   MetricsRegistry reg;
   reg.counter("x", "");
   EXPECT_THROW((void)reg.gauge("x"), std::logic_error);
-  EXPECT_THROW((void)reg.histogram("x"), std::logic_error);
   reg.gauge("y").set(1.5);
   EXPECT_THROW((void)reg.counter("y"), std::logic_error);
 }
@@ -53,9 +52,6 @@ TEST(MetricsRegistry, PrometheusTextFormat) {
   reg.counter("txns_total", "Transactions", "outcome=\"committed\"").add(42);
   reg.counter("txns_total", "Transactions", "outcome=\"aborted\"").add(1);
   reg.gauge("undo_bytes", "Undo log size").set(4096);
-  Histogram& h = reg.histogram("latency_us", "Latency");
-  h.observe(1.0);
-  h.observe(3.0);
 
   const std::string text = reg.to_prometheus();
   EXPECT_NE(text.find("# HELP txns_total Transactions"), std::string::npos) << text;
@@ -63,10 +59,7 @@ TEST(MetricsRegistry, PrometheusTextFormat) {
   EXPECT_NE(text.find("txns_total{outcome=\"committed\"} 42"), std::string::npos) << text;
   EXPECT_NE(text.find("txns_total{outcome=\"aborted\"} 1"), std::string::npos) << text;
   EXPECT_NE(text.find("# TYPE undo_bytes gauge"), std::string::npos) << text;
-  EXPECT_NE(text.find("# TYPE latency_us summary"), std::string::npos) << text;
-  EXPECT_NE(text.find("latency_us{quantile=\"0.5\"}"), std::string::npos) << text;
-  EXPECT_NE(text.find("latency_us_sum 4"), std::string::npos) << text;
-  EXPECT_NE(text.find("latency_us_count 2"), std::string::npos) << text;
+  EXPECT_NE(text.find("undo_bytes 4096"), std::string::npos) << text;
 }
 
 TEST(MetricsRegistry, JsonDumpCarriesExactValues) {
@@ -74,22 +67,10 @@ TEST(MetricsRegistry, JsonDumpCarriesExactValues) {
   // 2^63 + 1 survives only with exact uint64 serialization.
   reg.counter("big_total").add(9223372036854775809ull);
   reg.gauge("ratio").set(0.5);
-  reg.histogram("h").observe(10.0);
 
   const std::string json = reg.to_json().dump();
-  EXPECT_NE(json.find("\"big_total\":9223372036854775809"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"ratio\":0.5"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"count\":1"), std::string::npos) << json;
-}
-
-TEST(MetricsRegistry, EmptyHistogramSerializesWithoutNaN) {
-  MetricsRegistry reg;
-  (void)reg.histogram("empty_us");
-  // NaN percentiles of the empty summary must render as null/absent, never
-  // as bare "nan" (which is not JSON).
-  const std::string json = reg.to_json().dump();
-  EXPECT_EQ(json.find("nan"), std::string::npos) << json;
-  EXPECT_EQ(json.find("inf"), std::string::npos) << json;
+  EXPECT_EQ(json,
+            "{\"counters\":{\"big_total\":9223372036854775809},\"gauges\":{\"ratio\":0.5}}");
 }
 
 TEST(MetricsRegistry, SavePicksFormatByExtension) {

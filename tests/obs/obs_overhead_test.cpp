@@ -50,7 +50,7 @@ TEST(ObsOverhead, PerseasCostIdenticalWithTracingOnAndOff) {
       }
     }
     EXPECT_EQ(trace.event_count() > 0, on);
-    EXPECT_EQ(db.txn_observer(), nullptr);
+    EXPECT_EQ(db.validator(), nullptr);
     return std::pair{cluster.clock().now(), cluster.stats().remote_write_bytes};
   };
   EXPECT_EQ(run(true), run(false));

@@ -238,7 +238,7 @@ TEST_F(TraceExportTest, SpanSelfTimeEqualsLedgerRowPerTxnAndPhase) {
   for (const CostEntry& e : ledger.entries()) EXPECT_NE(e.key.phase, "unattributed");
 
   for (const auto kind : {workload::EngineKind::kRvmDisk, workload::EngineKind::kVista,
-                          workload::EngineKind::kRemoteWal}) {
+                          workload::EngineKind::kRemoteWal, workload::EngineKind::kFsMirror}) {
     workload::LabOptions lo;
     lo.db_size = 1 << 16;
     lo.log_capacity = 1 << 16;  // small enough that commits truncate
@@ -260,6 +260,8 @@ TEST_F(TraceExportTest, SpanSelfTimeEqualsLedgerRowPerTxnAndPhase) {
 
 // The comparison engines trace their lifecycle through the same scopes:
 // begin, set_range, commit, abort, recover and (RVM, remote WAL) truncate.
+// Recovery runs through TxnEngine::recover(), the same entry for every
+// engine.
 TEST(TraceEngines, TracedLabsEmitEveryLifecycleSpan) {
   struct Case {
     workload::EngineKind kind;
@@ -270,7 +272,8 @@ TEST(TraceEngines, TracedLabsEmitEveryLifecycleSpan) {
   with_truncate.insert("truncate");
   for (const Case& c : {Case{workload::EngineKind::kRvmDisk, with_truncate},
                         Case{workload::EngineKind::kVista, lifecycle},
-                        Case{workload::EngineKind::kRemoteWal, with_truncate}}) {
+                        Case{workload::EngineKind::kRemoteWal, with_truncate},
+                        Case{workload::EngineKind::kFsMirror, lifecycle}}) {
     SCOPED_TRACE(workload::to_string(c.kind));
     TraceRecorder trace;
     workload::LabOptions lo;
@@ -283,13 +286,7 @@ TEST(TraceEngines, TracedLabsEmitEveryLifecycleSpan) {
     lab.engine().begin();
     lab.engine().set_range(0, 64);
     lab.engine().abort();
-    if (auto* rvm = dynamic_cast<workload::RvmEngine*>(&lab.engine())) {
-      (void)rvm->rvm().recover();
-    } else if (auto* vista = dynamic_cast<workload::VistaEngine*>(&lab.engine())) {
-      (void)vista->vista().recover();
-    } else if (auto* wal = dynamic_cast<workload::RemoteWalEngine*>(&lab.engine())) {
-      (void)wal->wal().recover();
-    }
+    (void)lab.engine().recover();
 
     std::set<std::string> seen;
     std::size_t commits = 0;

@@ -103,59 +103,5 @@ TEST(LatencyRecorder, EmptyThroughputIsZero) {
   EXPECT_DOUBLE_EQ(r.ops_per_second(), 0.0);
 }
 
-TEST(Log2Histogram, BucketsByMagnitude) {
-  Log2Histogram h;
-  h.add(0);
-  h.add(1);
-  h.add(2);
-  h.add(3);
-  h.add(1024);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket_count(0), 1u);  // value 0
-  EXPECT_EQ(h.bucket_count(1), 1u);  // value 1
-  EXPECT_EQ(h.bucket_count(2), 2u);  // values 2..3
-  EXPECT_EQ(h.bucket_count(11), 1u);  // value 1024
-}
-
-TEST(Log2Histogram, RenderMentionsOnlyNonEmptyBuckets) {
-  Log2Histogram h;
-  h.add(5);
-  const std::string out = h.render();
-  EXPECT_NE(out.find("1"), std::string::npos);
-  EXPECT_EQ(h.bucket_count(63), 0u);
-}
-
-TEST(Log2Histogram, BucketRangeHelpers) {
-  EXPECT_EQ(Log2Histogram::bucket_lo(0), 0u);
-  EXPECT_EQ(Log2Histogram::bucket_hi(0), 0u);
-  EXPECT_EQ(Log2Histogram::bucket_lo(3), 4u);
-  EXPECT_EQ(Log2Histogram::bucket_hi(3), 7u);
-  // The clamp bucket absorbs every larger value.
-  EXPECT_EQ(Log2Histogram::bucket_hi(Log2Histogram::kBuckets - 1), UINT64_MAX);
-}
-
-TEST(Log2Histogram, RenderHasLabelledAxis) {
-  Log2Histogram h;
-  h.add(5);   // bucket [4, 7]
-  h.add(6);
-  h.add(100); // bucket [64, 127]
-  const std::string out = h.render();
-  EXPECT_NE(out.find("value range"), std::string::npos) << out;
-  EXPECT_NE(out.find("count"), std::string::npos) << out;
-  EXPECT_NE(out.find("4"), std::string::npos) << out;
-  EXPECT_NE(out.find("7"), std::string::npos) << out;
-  EXPECT_NE(out.find("*"), std::string::npos) << out;  // proportional bar
-
-  // The overflow bucket renders "+inf", not a misleading finite bound.
-  Log2Histogram clamp;
-  clamp.add(UINT64_MAX);
-  EXPECT_NE(clamp.render().find("+inf"), std::string::npos) << clamp.render();
-}
-
-TEST(Log2Histogram, EmptyRenderSaysSo) {
-  const Log2Histogram h;
-  EXPECT_NE(h.render().find("(no samples)"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace perseas::sim

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "workload/engines.hpp"
 
@@ -88,19 +89,56 @@ TEST_P(EngineConformance, EveryTransactionAdvancesSimulatedTime) {
   EXPECT_GT(lab_->cluster().clock().now(), t0);
 }
 
+// Recovery through the one engine interface: a software crash of the
+// application node loses the open transaction, TxnEngine::recover() brings
+// back the committed image, and the engine then commits again.
+using EngineRecovery = EngineConformance;
+
+TEST_P(EngineRecovery, RecoverDropsTheOpenTransactionAndKeepsWorking) {
+  engine().begin();
+  engine().set_range(0, 4);
+  std::memcpy(engine().db().data(), "good", 4);
+  engine().commit();
+
+  engine().begin();
+  engine().set_range(0, 4);
+  std::memcpy(engine().db().data(), "evil", 4);
+  lab_->cluster().crash_node(engine().app_node(), sim::FailureKind::kSoftwareCrash);
+  (void)engine().recover();
+  EXPECT_FALSE(lab_->cluster().node(engine().app_node()).crashed());
+  EXPECT_EQ(std::memcmp(engine().db().data(), "good", 4), 0);
+
+  engine().begin();
+  engine().set_range(4, 4);
+  std::memcpy(engine().db().data() + 4, "next", 4);
+  engine().commit();
+  EXPECT_EQ(std::memcmp(engine().db().data(), "goodnext", 8), 0);
+}
+
+std::string engine_test_name(const ::testing::TestParamInfo<EngineKind>& info) {
+  std::string name(to_string(info.param));
+  for (auto& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineConformance,
                          ::testing::Values(EngineKind::kPerseas, EngineKind::kVista,
                                            EngineKind::kRvmRio, EngineKind::kRvmDisk,
                                            EngineKind::kRvmDiskGroupCommit,
                                            EngineKind::kRvmNvram, EngineKind::kRemoteWal,
                                            EngineKind::kFsMirror),
-                         [](const ::testing::TestParamInfo<EngineKind>& info) {
-                           std::string name(to_string(info.param));
-                           for (auto& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         engine_test_name);
+
+// rvm-disk-group is left out: its unforced commit group is lost in a crash
+// by design, so "good" itself does not survive.
+INSTANTIATE_TEST_SUITE_P(AllEngines, EngineRecovery,
+                         ::testing::Values(EngineKind::kPerseas, EngineKind::kVista,
+                                           EngineKind::kRvmRio, EngineKind::kRvmDisk,
+                                           EngineKind::kRvmNvram, EngineKind::kRemoteWal,
+                                           EngineKind::kFsMirror),
+                         engine_test_name);
 
 }  // namespace
 }  // namespace perseas::workload

@@ -9,8 +9,7 @@ Usage:
 Checks the stable schema the bench harness (bench/bench_util.hpp) emits:
 
     { "schema": "perseas-bench/1", "bench": <name>,
-      "rows": [...], "metrics": {"counters": {...}, "gauges": {...},
-                                 "histograms": {...}} }
+      "rows": [...], "metrics": {"counters": {...}, "gauges": {...}}}
 
 Exits 0 when the document is valid, 1 with a diagnostic otherwise.
 Stdlib only: runs on any CI python3 without installs.
@@ -213,7 +212,7 @@ def check(doc):
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
         fail("'metrics' must be an object")
-    for section in ("counters", "gauges", "histograms"):
+    for section in ("counters", "gauges"):
         if not isinstance(metrics.get(section), dict):
             fail(f"metrics.{section} must be an object")
     counters = metrics["counters"]
@@ -235,18 +234,6 @@ def check(doc):
         for series in required:
             if series not in counters:
                 fail(f"db {db!r} is missing coalescing counter {series}")
-    for name, h in metrics["histograms"].items():
-        if not isinstance(h, dict):
-            fail(f"histogram {name} must be an object")
-        for field in ("count", "sum", "mean", "p50", "p90", "p99", "max"):
-            if field not in h:
-                fail(f"histogram {name} is missing '{field}'")
-        if not isinstance(h["count"], int) or h["count"] < 0:
-            fail(f"histogram {name}.count must be a non-negative integer")
-        # Quantiles of an empty histogram serialize as null, never NaN/Inf.
-        if h["count"] == 0 and any(h[f] is not None for f in ("mean", "p50", "max")):
-            fail(f"empty histogram {name} must have null quantiles")
-
     return doc
 
 
@@ -257,8 +244,7 @@ def main():
     doc = check(load(sys.argv[1]))
     print(f"check-bench-json: OK: bench={doc['bench']} "
           f"rows={len(doc['rows'])} "
-          f"counters={len(doc['metrics']['counters'])} "
-          f"histograms={len(doc['metrics']['histograms'])}")
+          f"counters={len(doc['metrics']['counters'])}")
 
 
 if __name__ == "__main__":

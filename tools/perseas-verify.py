@@ -1019,6 +1019,16 @@ ENTRIES = [
     ("Vista::commit_transaction", "commit", True),
     ("Vista::abort_transaction", "abort", True),
     ("Vista::recover", "recover", True),
+    ("RemoteWal::begin_transaction", "begin", True),
+    ("RemoteWal::set_range", "set_range", True),
+    ("RemoteWal::commit_transaction", "commit", True),
+    ("RemoteWal::abort_transaction", "abort", True),
+    ("RemoteWal::recover", "recover", True),
+    ("FsMirror::begin_transaction", "begin", True),
+    ("FsMirror::set_range", "set_range", True),
+    ("FsMirror::commit_transaction", "commit", True),
+    ("FsMirror::abort_transaction", "abort", True),
+    ("FsMirror::recover", "recover", True),
 ]
 
 # V1b: registry phases an entry may notify directly.  Lazy-undo pushes
