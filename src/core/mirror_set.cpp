@@ -22,7 +22,7 @@ std::span<const std::byte> as_flag_bytes(const std::uint64_t (&v)[2]) {
 }  // namespace
 
 MirrorSet::MirrorSet(netram::Cluster& cluster, netram::RemoteMemoryClient& client,
-                     netram::NodeId local, const PerseasConfig& config, PerseasStats& stats)
+                     netram::NodeId local, const PerseasConfig& config, PerseasStatShards& stats)
     : cluster_(&cluster), client_(&client), local_(local), config_(&config), stats_(&stats) {}
 
 std::span<std::byte> MirrorSet::record_bytes(std::span<const LocalRecord> records,
@@ -53,13 +53,11 @@ MirrorSet::Mirror& MirrorSet::add(netram::RemoteMemoryServer* server,
   Mirror m;
   m.server = server;
   create_segments(m, undo_capacity, undo_gen);
-  sync::LockGuard lock(mu_);
   mirrors_.push_back(std::move(m));
   return mirrors_.back();
 }
 
 MirrorSet::Mirror& MirrorSet::adopt(Mirror&& m) {
-  sync::LockGuard lock(mu_);
   mirrors_.push_back(std::move(m));
   return mirrors_.back();
 }
@@ -118,7 +116,6 @@ void MirrorSet::store_flag(Mirror& m, std::uint64_t txn_id, std::uint64_t undo_b
 std::uint64_t MirrorSet::propagate_ranges(
     Mirror& m, const std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>>& write_set,
     std::span<const LocalRecord> records, const std::function<void()>& after_slice) {
-  sync::LockGuard lock(mu_);
   std::uint64_t mirror_bytes = 0;
   for (const auto& [rec, ranges] : write_set) {
     const auto bytes = record_bytes(records, rec);
@@ -130,9 +127,9 @@ std::uint64_t MirrorSet::propagate_ranges(
     client_->sci_memcpy_writev(m.db[rec], slices_, netram::StreamHint::kContinuation,
                                config_->optimized_sci_memcpy,
                                [&after_slice](std::size_t) { after_slice(); });
-    ++stats_->propagate_writes;
+    ++stats_->local().propagate_writes;
   }
-  stats_->bytes_propagated += mirror_bytes;
+  stats_->local().bytes_propagated += mirror_bytes;
   return mirror_bytes;
 }
 
@@ -144,8 +141,8 @@ std::uint64_t MirrorSet::propagate_entries(Mirror& m, const std::vector<UndoImag
     const auto data = record_bytes(records, u.record).subspan(u.offset, u.before.size());
     client_->sci_memcpy_write(m.db[u.record], u.offset, data,
                               netram::StreamHint::kContinuation, config_->optimized_sci_memcpy);
-    stats_->bytes_propagated += data.size();
-    ++stats_->propagate_writes;
+    stats_->local().bytes_propagated += data.size();
+    ++stats_->local().propagate_writes;
     mirror_bytes += data.size();
     after_copy();
   }
@@ -154,7 +151,6 @@ std::uint64_t MirrorSet::propagate_entries(Mirror& m, const std::vector<UndoImag
 
 void MirrorSet::rebuild(std::uint32_t index, std::span<const LocalRecord> records,
                         std::uint64_t undo_capacity, std::uint64_t undo_gen) {
-  sync::LockGuard lock(mu_);
   if (index >= mirrors_.size()) throw UsageError("rebuild_mirror: index out of range");
   Mirror& m = mirrors_[index];
 
@@ -188,7 +184,7 @@ void MirrorSet::rebuild(std::uint32_t index, std::span<const LocalRecord> record
     push_record(m, i, records);
   }
   push_meta(m, records, undo_gen);
-  ++stats_->mirror_rebuilds;
+  ++stats_->local().mirror_rebuilds;
   cluster_->failures().notify(points::kRebuildDone);
 }
 

@@ -20,19 +20,11 @@
 
 #include "core/perseas_config.hpp"
 #include "core/range_set.hpp"
-#include "core/sync.hpp"
 #include "core/txn_context.hpp"
 #include "netram/cluster.hpp"
 #include "netram/remote_memory.hpp"
 
 namespace perseas::core {
-
-/// One persistent record's local mapping (the unit of persistent_malloc).
-struct LocalRecord {
-  std::uint64_t local_offset = 0;
-  std::uint64_t size = 0;
-  bool mirrored = false;
-};
 
 class MirrorSet {
  public:
@@ -45,7 +37,7 @@ class MirrorSet {
 
   /// References must outlive the set; `stats` receives mirror_rebuilds.
   MirrorSet(netram::Cluster& cluster, netram::RemoteMemoryClient& client,
-            netram::NodeId local, const PerseasConfig& config, PerseasStats& stats);
+            netram::NodeId local, const PerseasConfig& config, PerseasStatShards& stats);
 
   MirrorSet(const MirrorSet&) = delete;
   MirrorSet& operator=(const MirrorSet&) = delete;
@@ -59,34 +51,13 @@ class MirrorSet {
   /// Appends a mirror whose segments were already connected (recovery).
   Mirror& adopt(Mirror&& m);
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    sync::LockGuard lock(mu_);
-    return mirrors_.size();
-  }
-  [[nodiscard]] bool empty() const noexcept {
-    sync::LockGuard lock(mu_);
-    return mirrors_.empty();
-  }
-  [[nodiscard]] Mirror& operator[](std::size_t i) noexcept {
-    sync::LockGuard lock(mu_);
-    return mirrors_[i];
-  }
-  [[nodiscard]] const Mirror& operator[](std::size_t i) const noexcept {
-    sync::LockGuard lock(mu_);
-    return mirrors_[i];
-  }
-  /// The mirror list itself.  Membership is guarded by mu_, but the
-  /// returned reference escapes it: callers iterate mirrors while the set
-  /// is stable (membership only changes in attach/recovery/decommission,
-  /// never mid-transaction).
-  [[nodiscard]] std::vector<Mirror>& mirrors() noexcept {
-    sync::LockGuard lock(mu_);
-    return mirrors_;
-  }
-  void clear() noexcept {
-    sync::LockGuard lock(mu_);
-    mirrors_.clear();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return mirrors_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return mirrors_.empty(); }
+  [[nodiscard]] Mirror& operator[](std::size_t i) noexcept { return mirrors_[i]; }
+  [[nodiscard]] const Mirror& operator[](std::size_t i) const noexcept { return mirrors_[i]; }
+  /// The mirror list itself.
+  [[nodiscard]] std::vector<Mirror>& mirrors() noexcept { return mirrors_; }
+  void clear() noexcept { mirrors_.clear(); }
 
   /// Reserves record `index`'s mirror segment (`size` bytes) on mirror `m`.
   /// `who` names the caller in the OutOfRemoteMemory message.
@@ -109,7 +80,7 @@ class MirrorSet {
   /// figure 3, step 3 (coalesced): propagates each record's merged dirty
   /// union to `m`'s database image, gathered per record into shared SCI
   /// bursts; `after_slice` runs after every slice lands (crash points) and
-  /// must not call back into the set (mu_ is held across the bursts).
+  /// must not call back into the set (the gather scratch is in use).
   /// Returns the bytes moved; increments stats' propagate_writes.
   std::uint64_t propagate_ranges(
       Mirror& m, const std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>>& write_set,
@@ -136,16 +107,18 @@ class MirrorSet {
   netram::RemoteMemoryClient* client_;
   netram::NodeId local_;
   const PerseasConfig* config_;
-  PerseasStats* stats_;
-  /// Guards mirror-set *membership* (add/adopt/rebuild/clear) and the
-  /// gather scratch.  The data pushes that take a Mirror& operate on one
-  /// mirror's remote segments and are serialized by the caller's
-  /// transaction locking, not by mu_.
-  mutable sync::Mutex mu_;
-  std::vector<Mirror> mirrors_ PERSEAS_GUARDED_BY(mu_);
+  PerseasStatShards* stats_;
+  /// The set has no lock of its own; its owner's locks order every use.
+  /// Membership (add/adopt/clear) changes only while no transaction is
+  /// open, under Perseas::mu_.  Commit's data pushes, and propagate's
+  /// gather scratch, run under Perseas::mu_.  Undo pushes read a mirror's
+  /// segments under UndoLog::mu_, which a rebuild
+  /// (UndoLog::rebuild_mirror_segments) holds as well.
+  std::vector<Mirror> mirrors_;
   /// propagate_ranges' slices of one record, reused across records and
-  /// commits.
-  std::vector<netram::RemoteMemoryClient::GatherSlice> slices_ PERSEAS_GUARDED_BY(mu_);
+  /// commits.  Written by every commit, so it keeps off the line of
+  /// mirrors_, which every undo push reads.
+  alignas(64) std::vector<netram::RemoteMemoryClient::GatherSlice> slices_;
 };
 
 }  // namespace perseas::core

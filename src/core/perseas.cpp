@@ -219,29 +219,33 @@ Transaction Perseas::begin_transaction() {
   // snapshot); ids are never reused, so the order is total.
   cc_->on_begin(txn_counter_);
   std::unique_ptr<TxnContext> ctx;
-  if (free_.empty()) {
-    free_.reserve(open_.size() + 1);  // the slot close_context returns it to
+  FreeContexts& mine = free_.local();
+  if (mine.list.empty()) {
+    mine.list.reserve(++mine.homed);  // the slot close_context returns it to
     ctx = std::make_unique<TxnContext>(txn_counter_);
+    ctx->set_home(&mine.list);
   } else {
-    ctx = std::move(free_.back());
-    free_.pop_back();
+    ctx = std::move(mine.list.back());
+    mine.list.pop_back();
     ctx->reset(txn_counter_);
   }
-  open_.push_back(std::move(ctx));
-  stats_.max_open_txns = std::max<std::uint64_t>(stats_.max_open_txns, open_.size());
+  // The registry cannot change while a transaction is open, so the
+  // context reads this view without mu_.
+  ctx->bind_records(records_);
+  TxnContext* const opened = open_.emplace_back(std::move(ctx)).get();
+  PerseasStats& stats = stats_.local();
+  stats.max_open_txns = std::max<std::uint64_t>(stats.max_open_txns, open_.size());
   cluster_->flight().record(EventKind::kTxnBegin, txn_counter_, open_.size());
   if (validator_) {
     const auto views = validator_views();
     validator_->on_begin(txn_counter_, views);
   }
-  return Transaction{this, txn_counter_};
+  return Transaction{this, opened};
 }
 
-TxnContext* Perseas::find_context(std::uint64_t txn_id) noexcept {
-  for (auto& ctx : open_) {
-    if (ctx->id() == txn_id) return ctx.get();
-  }
-  return nullptr;
+bool Perseas::is_open(const TxnContext& ctx) const noexcept {
+  return std::any_of(open_.begin(), open_.end(),
+                     [&ctx](const std::unique_ptr<TxnContext>& p) { return p.get() == &ctx; });
 }
 
 std::span<const TxnContext* const> Perseas::open_contexts() {
@@ -250,15 +254,15 @@ std::span<const TxnContext* const> Perseas::open_contexts() {
   return open_view_;
 }
 
-void Perseas::close_context(std::uint64_t txn_id) noexcept {
-  cc_->on_release(txn_id);
+void Perseas::close_context(TxnContext& ctx) noexcept {
+  cc_->on_release(ctx.id());
   for (auto it = open_.begin(); it != open_.end(); ++it) {
-    if ((*it)->id() == txn_id) {
+    if (it->get() == &ctx) {
       // Reset now, not at reuse: a buffer past the retention cap is
       // released when its transaction closes.  begin_transaction reserved
-      // the free-list slot, so this push cannot allocate.
-      (*it)->reset(0);
-      free_.push_back(std::move(*it));
+      // the slot in the context's home list, so this push cannot allocate.
+      ctx.reset(0);
+      ctx.home()->push_back(std::move(*it));
       open_.erase(it);
       return;
     }
@@ -273,10 +277,10 @@ void Perseas::close_context(std::uint64_t txn_id) noexcept {
 // out.  TxnConflict is rethrown untouched: losing first-writer-wins is
 // ordinary protocol behaviour the caller is expected to handle by aborting.
 // No lock is held here — the *_impl bodies take mu_ themselves.
-void Perseas::txn_set_range(std::uint64_t txn_id, std::uint32_t record, std::uint64_t offset,
+void Perseas::txn_set_range(TxnContext& ctx, std::uint32_t record, std::uint64_t offset,
                             std::uint64_t size) {
   try {
-    txn_set_range_impl(txn_id, record, offset, size);
+    txn_set_range_impl(ctx, record, offset, size);
   } catch (const TxnConflict&) {
     throw;
   } catch (const PerseasError& e) {
@@ -285,9 +289,9 @@ void Perseas::txn_set_range(std::uint64_t txn_id, std::uint32_t record, std::uin
   }
 }
 
-void Perseas::txn_commit(std::uint64_t txn_id) {
+void Perseas::txn_commit(TxnContext& ctx) {
   try {
-    txn_commit_impl(txn_id);
+    txn_commit_impl(ctx);
   } catch (const TxnConflict&) {
     throw;
   } catch (const PerseasError& e) {
@@ -296,9 +300,9 @@ void Perseas::txn_commit(std::uint64_t txn_id) {
   }
 }
 
-void Perseas::txn_abort(std::uint64_t txn_id) {
+void Perseas::txn_abort(TxnContext& ctx) {
   try {
-    txn_abort_impl(txn_id);
+    txn_abort_impl(ctx);
   } catch (const TxnConflict&) {
     throw;
   } catch (const PerseasError& e) {
@@ -307,18 +311,50 @@ void Perseas::txn_abort(std::uint64_t txn_id) {
   }
 }
 
-void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
-                                 std::uint64_t offset, std::uint64_t size) {
-  sync::LockGuard lock(mu_);
-  const obs::ScopedCost cost_scope(cluster_->sinks(), txn_id, "set_range", "core", "cpu");
+// set_range runs on the caller's own context, with no lock of this
+// instance: the claim takes the conflict table's lock, each undo push the
+// undo log's, and the counters and blackbox events go to the calling
+// thread's shards.  Two steps still need the orchestration lock: growing
+// the undo log (which must see every open context and stay out of every
+// commit's flag window), and, when the write-set validator is installed,
+// the whole declaration (the validator's bookkeeping is not thread-safe).
+void Perseas::txn_set_range_impl(TxnContext& ctx, std::uint32_t record, std::uint64_t offset,
+                                 std::uint64_t size) {
+  if (validator_) {
+    sync::LockGuard lock(mu_);
+    const obs::ScopedCost cost_scope(cluster_->sinks(), ctx.id(), "set_range", "core", "cpu");
+    if (!declare_range(ctx, record, offset, size)) return;
+    const obs::ScopedCost remote_scope(cluster_->sinks(), ctx.id(), "remote_undo", "core",
+                                       "undo");
+    for (auto& u : ctx.staged()) {
+      while (!push_staged(ctx, u)) grow_undo_locked(u);
+    }
+    stats_.local().time_remote_undo += remote_scope.elapsed();
+    return;
+  }
+  const obs::ScopedCost cost_scope(cluster_->sinks(), ctx.id(), "set_range", "core", "cpu");
+  if (!declare_range(ctx, record, offset, size)) return;
+  const obs::ScopedCost remote_scope(cluster_->sinks(), ctx.id(), "remote_undo", "core", "undo");
+  for (auto& u : ctx.staged()) {
+    while (!push_staged(ctx, u)) {
+      sync::LockGuard lock(mu_);
+      grow_undo_locked(u);
+    }
+  }
+  stats_.local().time_remote_undo += remote_scope.elapsed();
+}
+
+bool Perseas::declare_range(TxnContext& ctx, std::uint32_t record, std::uint64_t offset,
+                            std::uint64_t size) {
+  const std::uint64_t txn_id = ctx.id();
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_set_range);
-  TxnContext* ctx = find_context(txn_id);
-  if (ctx == nullptr) throw UsageError("set_range: transaction is not active");
-  if (record >= records_.size()) throw UsageError("set_range: record index out of range");
+  const std::span<const LocalRecord> records = ctx.records();
+  if (record >= records.size()) throw UsageError("set_range: record index out of range");
   if (size == 0) throw UsageError("set_range: empty range");
-  if (offset + size > records_[record].size || offset + size < offset) {
+  if (offset + size > records[record].size || offset + size < offset) {
     throw UsageError("set_range: range exceeds record");
   }
+  PerseasStats& stats = stats_.local();
   // Consult the concurrency-control policy before anything else observes
   // the declaration: a rejected set_range leaves the transaction, the stats
   // and the logs exactly as they were, so the caller can abort and retry.
@@ -332,17 +368,17 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
       // ledger attributes the idleness to waiting, not to set_range work.
       const obs::ScopedCost wait_scope(cluster_->sinks(), txn_id, "cc_wait", "core", "cpu");
       cluster_->clock().wait(rejection->wait);
-      ++stats_.cc_waits;
-      stats_.time_cc_wait += wait_scope.elapsed();
+      ++stats.cc_waits;
+      stats.time_cc_wait += wait_scope.elapsed();
     }
-    ++stats_.txns_conflicted;
-    if (rejection->reason == AbortReason::kWounded) ++stats_.txns_wounded;
+    ++stats.txns_conflicted;
+    if (rejection->reason == AbortReason::kWounded) ++stats.txns_wounded;
     cluster_->flight().record(EventKind::kTxnConflict, txn_id, rejection->holder, record,
                               offset);
     throw TxnConflict(txn_id, rejection->holder, record, offset, size, rejection->reason);
   }
   if (validator_) validator_->on_set_range(txn_id, record, offset, size);
-  ++stats_.set_ranges;
+  ++stats.set_ranges;
   cluster_->flight().record(EventKind::kSetRange, txn_id, record, offset, size);
 
   // Merge the declaration into the per-record union.  Only the sub-ranges
@@ -350,29 +386,33 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
   // were logged by an earlier set_range while still pristine (writes must
   // follow their covering declaration), so a second copy would duplicate
   // the first byte-for-byte.
-  clear_retaining(fresh_);
-  ctx->declare(record, offset, size, fresh_);
+  std::vector<ByteRange>& fresh = ctx.fresh();
+  clear_retaining(fresh);
+  ctx.declare(record, offset, size, fresh);
   if (!config_.coalesce_ranges) {
     // Historical behaviour: one full-width entry per declaration.  The
     // union is still maintained so both modes expose the same write set.
-    fresh_.assign(1, ByteRange{offset, size});
-  } else if (fresh_.size() != 1 || fresh_.front().offset != offset ||
-             fresh_.front().size != size) {
-    ++stats_.ranges_coalesced;
+    fresh.assign(1, ByteRange{offset, size});
+  } else if (fresh.size() != 1 || fresh.front().offset != offset ||
+             fresh.front().size != size) {
+    ++stats.ranges_coalesced;
   }
 
-  // The before-images are staged here and join the context below: in
-  // eager mode each right after its remote push, in lazy mode all at once.
-  clear_retaining(staged_);
+  // The before-images are staged here and join the context after: in
+  // eager mode each as its remote push lands, in lazy mode all at once.
+  std::vector<UndoImage>& staged = ctx.staged();
+  clear_retaining(staged);
   {
     const obs::ScopedCost local_scope(cluster_->sinks(), txn_id, "local_undo", "core",
                                       "local");
+    const auto mem = cluster_->node(local_).mem(records[record].local_offset,
+                                                records[record].size);
     std::uint64_t fresh_bytes = 0;
-    for (const auto& r : fresh_) {  // figure 3, step 1
-      UndoImage& u = staged_.emplace_back(ctx->take_image());
+    for (const auto& r : fresh) {  // figure 3, step 1
+      UndoImage& u = staged.emplace_back(ctx.take_image());
       u.record = record;
       u.offset = r.offset;
-      const auto src = record_bytes_locked(record).subspan(r.offset, r.size);
+      const auto src = mem.subspan(r.offset, r.size);
       u.before.assign(src.begin(), src.end());
       fresh_bytes += r.size;
     }
@@ -380,56 +420,55 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
     if (config_.coalesce_ranges && fresh_bytes < size) {
       cluster_->flight().record(EventKind::kCoalesce, txn_id, record, size, fresh_bytes);
     }
-    stats_.time_local_undo += local_scope.elapsed();
-    stats_.bytes_undo_local += fresh_bytes;
-    stats_.bytes_dedup_undo += size - fresh_bytes;
+    stats.time_local_undo += local_scope.elapsed();
+    stats.bytes_undo_local += fresh_bytes;
+    stats.bytes_dedup_undo += size - fresh_bytes;
   }
   // Notified even when fully covered (nothing copied): crash tests rely on
   // every set_range reaching the same protocol points.
   cluster_->failures().notify(points::kAfterLocalUndo);
 
-  if (config_.eager_remote_undo && !staged_.empty()) {
-    const obs::ScopedCost remote_scope(cluster_->sinks(), txn_id, "remote_undo", "core",
-                                       "undo");
-    const auto open = open_contexts();
-    for (auto& u : staged_) {
-      undo_log_.ensure_capacity(mirror_set_, undo_entry_bytes(u.before.size()), open);
-      undo_log_.push(mirror_set_, u, txn_id, netram::StreamHint::kNewBurst,
-                     validator_.get());  // figure 3, step 2
-      cluster_->failures().notify(points::kAfterRemoteUndo);
-      ctx->undo().push_back(std::move(u));
-      ctx->set_pushed_entries(ctx->undo().size());
-    }
-    stats_.time_remote_undo += remote_scope.elapsed();
-  } else {
-    for (auto& u : staged_) ctx->undo().push_back(std::move(u));
-  }
+  if (config_.eager_remote_undo && !staged.empty()) return true;
+  for (auto& u : staged) ctx.undo().push_back(std::move(u));
+  return false;
 }
 
-void Perseas::txn_read_range(std::uint64_t txn_id, std::uint32_t record, std::uint64_t offset,
+bool Perseas::push_staged(TxnContext& ctx, UndoImage& u) {
+  if (!undo_log_.append(mirror_set_, ctx, u, netram::StreamHint::kNewBurst,
+                        validator_.get())) {  // figure 3, step 2
+    return false;
+  }
+  cluster_->failures().notify(points::kAfterRemoteUndo);
+  return true;
+}
+
+void Perseas::grow_undo_locked(const UndoImage& u) {
+  undo_log_.ensure_capacity(mirror_set_, undo_entry_bytes(u.before.size()), open_contexts());
+}
+
+void Perseas::txn_read_range(TxnContext& ctx, std::uint32_t record, std::uint64_t offset,
                              std::uint64_t size) {
-  sync::LockGuard lock(mu_);
-  TxnContext* ctx = find_context(txn_id);
-  if (ctx == nullptr) throw UsageError("read_range: transaction is not active");
-  if (record >= records_.size()) throw UsageError("read_range: record index out of range");
+  const std::span<const LocalRecord> records = ctx.records();
+  if (record >= records.size()) throw UsageError("read_range: record index out of range");
   if (size == 0) return;  // an empty read observes nothing
-  if (offset + size > records_[record].size || offset + size < offset) {
+  if (offset + size > records[record].size || offset + size < offset) {
     throw UsageError("read_range: range exceeds record");
   }
   // Pure bookkeeping: the declared range joins the read set the validate
   // phase checks at commit.  No cost is charged (the application already
   // pays for its own loads), no protocol point fires, and the pessimistic
   // policies ignore the read set entirely — reads never block or wound.
-  ctx->declare_read(record, offset, size);
-  ++stats_.read_ranges;
+  ctx.declare_read(record, offset, size);
+  ++stats_.local().read_ranges;
 }
 
-void Perseas::txn_commit_impl(std::uint64_t txn_id) {
+void Perseas::txn_commit_impl(TxnContext& context) {
   sync::LockGuard lock(mu_);
+  const std::uint64_t txn_id = context.id();
   const obs::ScopedCost cost_scope(cluster_->sinks(), txn_id, "commit", "core", "cpu");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_commit);
-  TxnContext* ctx = find_context(txn_id);
-  if (ctx == nullptr) throw UsageError("commit: no active transaction");
+  if (!is_open(context)) throw UsageError("commit: no active transaction");
+  TxnContext* const ctx = &context;
   cluster_->flight().record(EventKind::kTxnCommitRequest, txn_id, ctx->undo().size(),
                             ctx->declared_bytes());
 
@@ -451,10 +490,10 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     const obs::ScopedCost validate_scope(cluster_->sinks(), txn_id, "validate", "core",
                                          "cpu");
     const std::uint64_t writer = cc_->on_validate(*ctx);
-    stats_.time_validate += validate_scope.elapsed();
+    stats_.local().time_validate += validate_scope.elapsed();
     if (writer != 0) {
-      ++stats_.txns_conflicted;
-      ++stats_.txns_validation_failed;
+      ++stats_.local().txns_conflicted;
+      ++stats_.local().txns_validation_failed;
       cluster_->flight().record(EventKind::kTxnConflict, txn_id, writer, 0, 0);
       cluster_->failures().notify(points::kValidateFail);
       throw TxnConflict(txn_id, writer, 0, 0, 0, AbortReason::kValidationFailed);
@@ -486,19 +525,22 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     undo_log_.ensure_capacity(mirror_set_, total, open_contexts());
     bool first = true;
     for (const auto& u : ctx->undo()) {
-      undo_log_.push(mirror_set_, u, txn_id,
-                     first ? netram::StreamHint::kNewBurst : netram::StreamHint::kContinuation,
-                     validator_.get());
+      if (!undo_log_.push(mirror_set_, u, txn_id,
+                          first ? netram::StreamHint::kNewBurst
+                                : netram::StreamHint::kContinuation,
+                          validator_.get())) {
+        throw OutOfRemoteMemory("commit: undo log full after growing for the transaction");
+      }
       first = false;
       cluster_->failures().notify(points::kAfterRemoteUndo);
     }
-    stats_.time_remote_undo += remote_scope.elapsed();
+    stats_.local().time_remote_undo += remote_scope.elapsed();
   }
 
   if (ctx->undo().empty()) {  // read-only transaction: nothing to propagate
     cc_->on_commit(*ctx);
-    close_context(txn_id);
-    ++stats_.txns_committed;
+    close_context(*ctx);
+    ++stats_.local().txns_committed;
     cluster_->flight().record(EventKind::kTxnCommitted, txn_id, 1);
     if (validator_) validator_->on_commit_complete(txn_id);
     cluster_->failures().notify(points::kCommitDone);
@@ -516,7 +558,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
       const obs::ScopedCost flag_scope(cluster_->sinks(), txn_id, "flag_set", "core",
                                        "flag");
       mirror_set_.store_flag(m, txn_id, undo_log_.tail(), netram::StreamHint::kNewBurst);
-      stats_.time_commit_flags += flag_scope.elapsed();
+      stats_.local().time_commit_flags += flag_scope.elapsed();
     }
     cluster_->failures().notify(points::kAfterFlagSet);
 
@@ -530,11 +572,11 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
         // later bursts skip the launch latency).
         const std::uint64_t mirror_bytes =
             mirror_set_.propagate_ranges(m, ctx->write_set(), records_, after_copy);
-        stats_.bytes_dedup_propagated += ctx->declared_bytes() - mirror_bytes;
+        stats_.local().bytes_dedup_propagated += ctx->declared_bytes() - mirror_bytes;
       } else {
         mirror_set_.propagate_entries(m, ctx->undo(), records_, after_copy);
       }
-      stats_.time_propagation += propagate_scope.elapsed();
+      stats_.local().time_propagation += propagate_scope.elapsed();
     }
 
     cluster_->failures().notify(points::kBeforeFlagClear);
@@ -543,7 +585,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
       const obs::ScopedCost clear_scope(cluster_->sinks(), txn_id, "flag_clear", "core",
                                         "flag");
       mirror_set_.store_flag(m, 0, 0, netram::StreamHint::kContinuation);
-      stats_.time_commit_flags += clear_scope.elapsed();
+      stats_.local().time_commit_flags += clear_scope.elapsed();
     }
     cluster_->failures().notify(points::kAfterFlagClear);
   }
@@ -552,19 +594,20 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
   // still alive: ValidateAtCommit's history is built from exactly the
   // coalesced unions the mirrors just received.
   cc_->on_commit(*ctx);
-  close_context(txn_id);
-  ++stats_.txns_committed;
+  close_context(*ctx);
+  ++stats_.local().txns_committed;
   cluster_->flight().record(EventKind::kTxnCommitted, txn_id, 0);
   if (validator_) validator_->on_commit_complete(txn_id);
   cluster_->failures().notify(points::kCommitDone);
 }
 
-void Perseas::txn_abort_impl(std::uint64_t txn_id) {
+void Perseas::txn_abort_impl(TxnContext& context) {
   sync::LockGuard lock(mu_);
+  const std::uint64_t txn_id = context.id();
   const obs::ScopedCost cost_scope(cluster_->sinks(), txn_id, "abort", "core", "local");
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_abort);
-  TxnContext* ctx = find_context(txn_id);
-  if (ctx == nullptr) throw UsageError("abort: no active transaction");
+  if (!is_open(context)) throw UsageError("abort: no active transaction");
+  TxnContext* const ctx = &context;
   // Purely local: the remote database was never touched (propagation only
   // happens inside commit), and stale remote undo entries are harmless
   // because propagating_txn is zero.  Newest-first restores legacy
@@ -578,8 +621,8 @@ void Perseas::txn_abort_impl(std::uint64_t txn_id) {
     bytes += it->before.size();
   }
   cluster_->charge_local_memcpy(local_, bytes);
-  close_context(txn_id);
-  ++stats_.txns_aborted;
+  close_context(*ctx);
+  ++stats_.local().txns_aborted;
   cluster_->flight().record(EventKind::kTxnAborted, txn_id, bytes);
   if (validator_) {
     // The declared before-images are restored; every record must now be

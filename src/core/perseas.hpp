@@ -128,7 +128,10 @@ class RecordHandle {
 /// raises TxnConflict when two open transactions declare overlapping
 /// ranges (which loser, and whether commit additionally validates reads,
 /// is the concurrency-control policy's call — PerseasConfig::cc_policy);
-/// the loser aborts and retries.
+/// the loser aborts and retries.  One thread drives a transaction at a
+/// time; transactions on different threads run set_range and read_range
+/// in parallel (the handle carries its TxnContext), and serialize only at
+/// begin, commit and abort.
 class Transaction {
  public:
   Transaction(Transaction&& other) noexcept;
@@ -162,9 +165,11 @@ class Transaction {
 
  private:
   friend class Perseas;
-  Transaction(Perseas* owner, std::uint64_t id) : owner_(owner), id_(id) {}
+  Transaction(Perseas* owner, TxnContext* ctx) : owner_(owner), ctx_(ctx), id_(ctx->id()) {}
 
   Perseas* owner_ = nullptr;
+  /// The open transaction's state, owned by the Perseas instance.
+  TxnContext* ctx_ = nullptr;
   std::uint64_t id_ = 0;
 };
 
@@ -237,12 +242,10 @@ class Perseas {
   [[nodiscard]] std::uint32_t mirror_count() const noexcept {
     return static_cast<std::uint32_t>(mirror_set_.size());
   }
-  /// The accumulated counters.  The reference escapes mu_ by design: it is
-  /// read by tests and exporters between transactions, when no writer runs.
-  [[nodiscard]] const PerseasStats& stats() const noexcept {
-    sync::LockGuard lock(mu_);
-    return stats_;
-  }
+  /// The accumulated counters, summed over the threads that booked them.
+  /// A snapshot: read it once the work it should count is done (after the
+  /// worker threads joined).
+  [[nodiscard]] PerseasStats stats() const { return stats_.merged(); }
   [[nodiscard]] const PerseasConfig& config() const noexcept { return config_; }
   [[nodiscard]] bool in_transaction() const noexcept {
     sync::LockGuard lock(mu_);
@@ -335,85 +338,103 @@ class Perseas {
   /// Writes the PERSEAS_METRICS dump (called by ~Perseas).
   void dump_env_metrics() const noexcept;
 
-  /// The open transaction with this id, or nullptr.
-  [[nodiscard]] TxnContext* find_context(std::uint64_t txn_id) noexcept PERSEAS_REQUIRES(mu_);
+  /// Whether `ctx` is one of the open transactions' contexts.  Compares
+  /// addresses only: it reads no other thread's context.
+  [[nodiscard]] bool is_open(const TxnContext& ctx) const noexcept PERSEAS_REQUIRES(mu_);
   /// Views of every open context in begin order (undo-log growth input),
   /// valid until the next call.
   [[nodiscard]] std::span<const TxnContext* const> open_contexts() PERSEAS_REQUIRES(mu_);
-  /// Drops `txn_id`'s conflict-table claims and moves its context, reset,
-  /// to the free list (commit/abort).
-  void close_context(std::uint64_t txn_id) noexcept PERSEAS_REQUIRES(mu_);
+  /// Drops ctx's conflict-table claims and moves it, reset, to its home
+  /// free list (commit/abort).
+  void close_context(TxnContext& ctx) noexcept PERSEAS_REQUIRES(mu_);
 
   // Transaction backends.  The public-facing three are thin anomaly
   // funnels: any PerseasError escaping the protocol body is noted on the
   // flight recorder (which dumps the blackbox when PERSEAS_BLACKBOX is
   // set) before it propagates.  TxnConflict is exempt — a first-writer-
-  // wins loss is protocol behaviour, not an anomaly.
-  void txn_set_range(std::uint64_t txn_id, std::uint32_t record, std::uint64_t offset,
-                     std::uint64_t size);
+  // wins loss is protocol behaviour, not an anomaly.  set_range and
+  // read_range run on the handle's context without mu_ (set_range takes it
+  // when the validator is installed, and to grow the undo log).
+  void txn_set_range(TxnContext& ctx, std::uint32_t record, std::uint64_t offset,
+                     std::uint64_t size) PERSEAS_EXCLUDES(mu_);
   /// Transaction::read_range's backend: records the range in the context's
   /// read set.  No funnel wrapper — it charges nothing, stores nothing,
   /// and can only throw UsageError.
-  void txn_read_range(std::uint64_t txn_id, std::uint32_t record, std::uint64_t offset,
+  void txn_read_range(TxnContext& ctx, std::uint32_t record, std::uint64_t offset,
                       std::uint64_t size);
-  void txn_commit(std::uint64_t txn_id);
-  void txn_abort(std::uint64_t txn_id);
-  void txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record, std::uint64_t offset,
-                          std::uint64_t size);
-  void txn_commit_impl(std::uint64_t txn_id);
-  void txn_abort_impl(std::uint64_t txn_id);
+  void txn_commit(TxnContext& ctx);
+  void txn_abort(TxnContext& ctx);
+  void txn_set_range_impl(TxnContext& ctx, std::uint32_t record, std::uint64_t offset,
+                          std::uint64_t size) PERSEAS_EXCLUDES(mu_);
+  /// set_range up to its remote undo: checks the range, claims it, merges
+  /// it into the write set and stages the before-images of its fresh
+  /// bytes in ctx.staged().  Returns true when the staged images still
+  /// have to be pushed (eager mode).  Needs no lock of this instance.
+  bool declare_range(TxnContext& ctx, std::uint32_t record, std::uint64_t offset,
+                     std::uint64_t size);
+  /// Pushes one staged image (figure 3, step 2); false when the undo log
+  /// must grow first.
+  bool push_staged(TxnContext& ctx, UndoImage& u);
+  /// Grows the undo log so `u` fits.
+  void grow_undo_locked(const UndoImage& u) PERSEAS_REQUIRES(mu_);
+  void txn_commit_impl(TxnContext& ctx);
+  void txn_abort_impl(TxnContext& ctx);
 
+  // Members are grouped by who writes them, so that what every set_range
+  // reads on every thread never shares a cache line with what begin and
+  // commit write: first the read-mostly state, then the per-thread
+  // counters and the components (each keeps its own lock on a line of its
+  // own), then the orchestration lock and what it guards.
   netram::Cluster* cluster_ = nullptr;
   netram::NodeId local_ = 0;
   PerseasConfig config_;
   netram::RemoteMemoryClient client_;
-
-  /// The orchestration lock: every library entry point (transaction
-  /// backends, allocation, shutdown, recovery) runs under it, so the
-  /// members below mutate atomically per operation.  Lock order is always
-  /// Perseas::mu_ first, component mutexes second; components never call
-  /// back into Perseas.
-  mutable sync::Mutex mu_;
-  PerseasStats stats_ PERSEAS_GUARDED_BY(mu_);
-
-  // The components (construction order matters: they hold references to
-  // client_, config_ and stats_ above).  They guard their own state; the
-  // stats_ reference they mutate through is covered by mu_ because every
-  // component call is downstream of an entry point holding it.
-  MirrorSet mirror_set_;
-  UndoLog undo_log_;
   /// The concurrency-control policy (PerseasConfig::cc_policy, overridable
   /// via PERSEAS_CC).  Owns the range claim table; consulted at begin /
   /// declare / commit-validate / release.  Pure decision logic: every
   /// observable consequence (stats, charges, flight events, failure
   /// points, throws) happens here in the orchestration layer.
   std::unique_ptr<CcPolicy> cc_;
-
-  std::vector<LocalRecord> records_ PERSEAS_GUARDED_BY(mu_);
-  /// Open transactions in begin order; each owns its TxnContext at a
-  /// stable address (Transaction handles name them by id).
-  std::vector<std::unique_ptr<TxnContext>> open_ PERSEAS_GUARDED_BY(mu_);
-  /// Closed contexts, reset, for begin_transaction to reuse.  Filled only
-  /// by closes, so it holds at most as many as were ever open at once.
-  std::vector<std::unique_ptr<TxnContext>> free_ PERSEAS_GUARDED_BY(mu_);
-
-  // Scratch reused by every call that fills it, so the steady-state
-  // transaction path allocates nothing: set_range's fresh sub-ranges and
-  // their staged before-images, and the open_contexts() view.
-  std::vector<ByteRange> fresh_ PERSEAS_GUARDED_BY(mu_);
-  std::vector<UndoImage> staged_ PERSEAS_GUARDED_BY(mu_);
-  std::vector<const TxnContext*> open_view_ PERSEAS_GUARDED_BY(mu_);
-
-  bool shut_down_ PERSEAS_GUARDED_BY(mu_) = false;
-  RecoveryReport recovery_ PERSEAS_GUARDED_BY(mu_);
+  /// Installed by init_observability; called only when non-null.
+  std::unique_ptr<check::TxnValidator> validator_;
   /// PERSEAS_MC_SEED_BUG=skip-flag-clear (model-checker self-test only):
   /// deliberately skip the commit-point store so perseas-mc can prove it
   /// catches real protocol violations.
   bool mc_skip_flag_clear_ = false;
-  std::uint64_t txn_counter_ PERSEAS_GUARDED_BY(mu_) = 0;
 
-  /// Installed by init_observability; called only when non-null.
-  std::unique_ptr<check::TxnValidator> validator_;
+  /// Per-thread counters; stats() merges them.
+  PerseasStatShards stats_;
+
+  // The components (construction order matters: they hold references to
+  // client_, config_ and stats_ above).  They guard their own state.
+  MirrorSet mirror_set_;
+  UndoLog undo_log_;
+
+  /// The orchestration lock: begin, commit, abort, allocation, shutdown,
+  /// recovery and undo-log growth run under it, so the members below
+  /// mutate atomically per operation.  set_range and read_range do not
+  /// take it (see sync.hpp).  Lock order is always Perseas::mu_ first,
+  /// component mutexes second; components never call back into Perseas.
+  mutable sync::Mutex mu_;
+  std::vector<LocalRecord> records_ PERSEAS_GUARDED_BY(mu_);
+  /// Open transactions in begin order; each owns its TxnContext at a
+  /// stable address (Transaction handles carry it).
+  std::vector<std::unique_ptr<TxnContext>> open_ PERSEAS_GUARDED_BY(mu_);
+  /// Closed contexts, reset, for begin_transaction to reuse, one list per
+  /// thread: a thread reuses the contexts it built, whose buffers are
+  /// still in its own cache, instead of one another thread just closed.
+  /// A context goes back to the list of the thread that built it (its
+  /// home), which begin reserved room in, so a close never allocates.
+  struct FreeContexts {
+    TxnContext::FreeList list;
+    std::size_t homed = 0;  ///< contexts built by this thread
+  };
+  sync::ThreadShards<FreeContexts> free_ PERSEAS_GUARDED_BY(mu_);
+  /// The open_contexts() view, reused so growth allocates nothing for it.
+  std::vector<const TxnContext*> open_view_ PERSEAS_GUARDED_BY(mu_);
+  bool shut_down_ PERSEAS_GUARDED_BY(mu_) = false;
+  RecoveryReport recovery_ PERSEAS_GUARDED_BY(mu_);
+  std::uint64_t txn_counter_ PERSEAS_GUARDED_BY(mu_) = 0;
 
   /// Where the destructor writes export_metrics (PERSEAS_METRICS); empty =
   /// nowhere.

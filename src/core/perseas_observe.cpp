@@ -31,45 +31,46 @@ void Perseas::dump_env_metrics() const noexcept {
 
 void Perseas::export_metrics(obs::MetricsRegistry& reg) const {
   sync::LockGuard lock(mu_);
+  const PerseasStats st = stats_.merged();
   const std::string db = "db=\"" + config_.name + "\"";
   const auto count = [&](std::string_view name, std::string_view help, std::uint64_t v,
                          const std::string& labels) { reg.counter(name, help, labels).add(v); };
 
-  count("perseas_txns_total", "Transactions finished, by outcome", stats_.txns_committed,
+  count("perseas_txns_total", "Transactions finished, by outcome", st.txns_committed,
         db + ",outcome=\"committed\"");
-  count("perseas_txns_total", "Transactions finished, by outcome", stats_.txns_aborted,
+  count("perseas_txns_total", "Transactions finished, by outcome", st.txns_aborted,
         db + ",outcome=\"aborted\"");
   count("perseas_txn_conflicts_total",
-        "Operations rejected with TxnConflict, any abort reason", stats_.txns_conflicted, db);
+        "Operations rejected with TxnConflict, any abort reason", st.txns_conflicted, db);
   // Per-reason breakdown of the conflicts counter.  The kConflict share is
   // derived (total minus the named subsets), so the three series sum to
   // perseas_txn_conflicts_total by construction — checked by
   // tools/check-bench-json.py.
   const char* reject_help = "TxnConflict rejections, by abort reason";
   count("perseas_cc_rejections_total", reject_help,
-        stats_.txns_conflicted - stats_.txns_wounded - stats_.txns_validation_failed,
+        st.txns_conflicted - st.txns_wounded - st.txns_validation_failed,
         db + ",reason=\"conflict\"");
-  count("perseas_cc_rejections_total", reject_help, stats_.txns_wounded,
+  count("perseas_cc_rejections_total", reject_help, st.txns_wounded,
         db + ",reason=\"wounded\"");
-  count("perseas_cc_rejections_total", reject_help, stats_.txns_validation_failed,
+  count("perseas_cc_rejections_total", reject_help, st.txns_validation_failed,
         db + ",reason=\"validation_failed\"");
   count("perseas_cc_waits_total",
-        "Charged waits taken before a conflict rejection (wait-die)", stats_.cc_waits, db);
-  count("perseas_set_ranges_total", "set_range declarations", stats_.set_ranges, db);
+        "Charged waits taken before a conflict rejection (wait-die)", st.cc_waits, db);
+  count("perseas_set_ranges_total", "set_range declarations", st.set_ranges, db);
   count("perseas_read_ranges_total", "read_range declarations joining a read set",
-        stats_.read_ranges, db);
-  count("perseas_undo_growths_total", "Undo-log doubling events", stats_.undo_growths, db);
-  count("perseas_mirror_rebuilds_total", "rebuild_mirror invocations", stats_.mirror_rebuilds,
+        st.read_ranges, db);
+  count("perseas_undo_growths_total", "Undo-log doubling events", st.undo_growths, db);
+  count("perseas_mirror_rebuilds_total", "rebuild_mirror invocations", st.mirror_rebuilds,
         db);
 
   // The per-channel byte counters the acceptance check compares against
   // PerseasStats: undo (local memcpy / remote push) and propagation.
   const char* bytes_help = "Bytes moved per PERSEAS channel";
-  count("perseas_bytes_total", bytes_help, stats_.bytes_undo_local,
+  count("perseas_bytes_total", bytes_help, st.bytes_undo_local,
         db + ",channel=\"undo_local\"");
-  count("perseas_bytes_total", bytes_help, stats_.bytes_undo_remote,
+  count("perseas_bytes_total", bytes_help, st.bytes_undo_remote,
         db + ",channel=\"undo_remote\"");
-  count("perseas_bytes_total", bytes_help, stats_.bytes_propagated,
+  count("perseas_bytes_total", bytes_help, st.bytes_propagated,
         db + ",channel=\"propagate\"");
 
   // Write-set coalescing: savings and burst counts.  Always exported (all
@@ -77,31 +78,31 @@ void Perseas::export_metrics(obs::MetricsRegistry& reg) const {
   // require the series in both ablation legs.
   count("perseas_ranges_coalesced_total",
         "set_range declarations that overlapped the transaction's declared union",
-        stats_.ranges_coalesced, db);
+        st.ranges_coalesced, db);
   const char* dedup_help = "Bytes write-set coalescing avoided moving, per channel";
-  count("perseas_bytes_dedup_total", dedup_help, stats_.bytes_dedup_undo,
+  count("perseas_bytes_dedup_total", dedup_help, st.bytes_dedup_undo,
         db + ",channel=\"undo\"");
-  count("perseas_bytes_dedup_total", dedup_help, stats_.bytes_dedup_propagated,
+  count("perseas_bytes_dedup_total", dedup_help, st.bytes_dedup_propagated,
         db + ",channel=\"propagate\"");
   const char* writes_help = "Gathered SCI store operations, per channel";
-  count("perseas_sci_writes_total", writes_help, stats_.undo_writes, db + ",channel=\"undo\"");
-  count("perseas_sci_writes_total", writes_help, stats_.propagate_writes,
+  count("perseas_sci_writes_total", writes_help, st.undo_writes, db + ",channel=\"undo\"");
+  count("perseas_sci_writes_total", writes_help, st.propagate_writes,
         db + ",channel=\"propagate\"");
 
   // Simulated nanoseconds per protocol phase (exact integers; figure 3's
   // cost decomposition).
   const char* phase_help = "Simulated nanoseconds spent per protocol phase";
-  count("perseas_phase_ns_total", phase_help, static_cast<std::uint64_t>(stats_.time_local_undo),
+  count("perseas_phase_ns_total", phase_help, static_cast<std::uint64_t>(st.time_local_undo),
         db + ",phase=\"local_undo\"");
   count("perseas_phase_ns_total", phase_help,
-        static_cast<std::uint64_t>(stats_.time_remote_undo), db + ",phase=\"remote_undo\"");
+        static_cast<std::uint64_t>(st.time_remote_undo), db + ",phase=\"remote_undo\"");
   count("perseas_phase_ns_total", phase_help,
-        static_cast<std::uint64_t>(stats_.time_propagation), db + ",phase=\"propagate\"");
+        static_cast<std::uint64_t>(st.time_propagation), db + ",phase=\"propagate\"");
   count("perseas_phase_ns_total", phase_help,
-        static_cast<std::uint64_t>(stats_.time_commit_flags), db + ",phase=\"commit_flags\"");
-  count("perseas_phase_ns_total", phase_help, static_cast<std::uint64_t>(stats_.time_cc_wait),
+        static_cast<std::uint64_t>(st.time_commit_flags), db + ",phase=\"commit_flags\"");
+  count("perseas_phase_ns_total", phase_help, static_cast<std::uint64_t>(st.time_cc_wait),
         db + ",phase=\"cc_wait\"");
-  count("perseas_phase_ns_total", phase_help, static_cast<std::uint64_t>(stats_.time_validate),
+  count("perseas_phase_ns_total", phase_help, static_cast<std::uint64_t>(st.time_validate),
         db + ",phase=\"validate\"");
 
   reg.gauge("perseas_undo_capacity_bytes", "Current undo-log capacity", db)
@@ -109,7 +110,7 @@ void Perseas::export_metrics(obs::MetricsRegistry& reg) const {
   reg.gauge("perseas_undo_used_bytes", "Undo-log bytes occupied by the open transactions", db)
       .set(static_cast<double>(undo_log_.tail()));
   reg.gauge("perseas_open_txns_peak", "High-water mark of concurrently open transactions", db)
-      .set(static_cast<double>(stats_.max_open_txns));
+      .set(static_cast<double>(st.max_open_txns));
   reg.gauge("perseas_mirrors", "Configured replication degree", db)
       .set(static_cast<double>(mirror_set_.size()));
   reg.gauge("perseas_records", "Persistent records allocated", db)

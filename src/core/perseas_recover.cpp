@@ -25,7 +25,7 @@ void Perseas::rebuild_mirror(std::uint32_t index) {
 
 void Perseas::rebuild_mirror_locked(std::uint32_t index) {
   if (shut_down_) throw UsageError("rebuild_mirror: instance was shut down");
-  mirror_set_.rebuild(index, records_, undo_log_.capacity(), undo_log_.gen());
+  undo_log_.rebuild_mirror_segments(mirror_set_, index, records_);
 }
 
 void Perseas::attach_recover(const std::vector<netram::RemoteMemoryServer*>& servers) {

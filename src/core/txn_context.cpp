@@ -4,6 +4,10 @@ namespace perseas::core {
 
 void TxnContext::reset(std::uint64_t id) {
   id_ = id;
+  records_ = {};
+  clear_retaining(fresh_);
+  clear_retaining(staged_);
+  clear_retaining(entry_);
   pushed_entries_ = 0;
   declared_bytes_ = 0;
   // Newest first onto the pool, so take_image() pops them oldest first.

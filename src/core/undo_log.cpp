@@ -59,7 +59,7 @@ std::uint64_t next_undo_capacity(std::uint64_t current, std::uint64_t required) 
 }
 
 UndoLog::UndoLog(netram::Cluster& cluster, netram::RemoteMemoryClient& client,
-                 const PerseasConfig& config, PerseasStats& stats)
+                 const PerseasConfig& config, PerseasStatShards& stats)
     : cluster_(&cluster),
       client_(&client),
       config_(&config),
@@ -86,27 +86,59 @@ void UndoLog::ensure_capacity(MirrorSet& mirrors, std::uint64_t needed,
   if (tail_ + needed > capacity_) grow(mirrors, needed, open);
 }
 
-void UndoLog::push(MirrorSet& mirrors, const UndoImage& u, std::uint64_t txn_id,
+bool UndoLog::append(MirrorSet& mirrors, TxnContext& ctx, UndoImage& u,
+                     netram::StreamHint hint, check::TxnValidator* validator) {
+  // The entry does not depend on where it lands, so it is built (and
+  // checksummed) before the lock.
+  std::vector<std::byte>& entry = ctx.entry();
+  entry.clear();
+  serialize(u, ctx.id(), entry);
+  {
+    sync::LockGuard lock(mu_);
+    if (!push_locked(mirrors, entry, ctx.id(), hint, validator)) return false;
+    ctx.undo().push_back(std::move(u));
+    ctx.set_pushed_entries(ctx.undo().size());
+  }
+  clear_retaining(entry);  // a huge entry is not kept past its push
+  return true;
+}
+
+bool UndoLog::push(MirrorSet& mirrors, const UndoImage& u, std::uint64_t txn_id,
                    netram::StreamHint hint, check::TxnValidator* validator) {
   sync::LockGuard lock(mu_);
   entry_.clear();
   serialize(u, txn_id, entry_);
-  const std::span<const std::byte> buf = entry_;
+  const bool pushed = push_locked(mirrors, entry_, txn_id, hint, validator);
+  clear_retaining(entry_);
+  return pushed;
+}
+
+bool UndoLog::push_locked(MirrorSet& mirrors, std::span<const std::byte> entry,
+                          std::uint64_t txn_id, netram::StreamHint hint,
+                          check::TxnValidator* validator) {
+  if (entry.size() > capacity_ - std::min(tail_, capacity_)) return false;
+  PerseasStats& stats = stats_->local();
   for (auto& m : mirrors.mirrors()) {
-    client_->sci_memcpy_write(m.undo, tail_, buf, hint, config_->optimized_sci_memcpy);
-    stats_->bytes_undo_remote += buf.size();
-    ++stats_->undo_writes;
+    client_->sci_memcpy_write(m.undo, tail_, entry, hint, config_->optimized_sci_memcpy);
+    stats.bytes_undo_remote += entry.size();
+    ++stats.undo_writes;
     if (validator != nullptr) {
       // Peek at the mirror's memory directly (no simulated traffic): the
       // serialized entry just written must byte-match the local log.
       const auto remote =
-          cluster_->node(m.server->host()).mem(m.undo.offset + tail_, buf.size());
-      validator->on_undo_push(txn_id, buf, remote);
+          cluster_->node(m.server->host()).mem(m.undo.offset + tail_, entry.size());
+      validator->on_undo_push(txn_id, entry, remote);
     }
   }
-  tail_ += undo_entry_bytes(u.before.size());
-  cluster_->flight().record(EventKind::kUndoPush, txn_id, tail_, buf.size());
-  clear_retaining(entry_);  // a huge entry is not kept past its push
+  tail_ += entry.size();
+  cluster_->flight().record(EventKind::kUndoPush, txn_id, tail_, entry.size());
+  return true;
+}
+
+void UndoLog::rebuild_mirror_segments(MirrorSet& mirrors, std::uint32_t index,
+                                      std::span<const LocalRecord> records) {
+  sync::LockGuard lock(mu_);
+  mirrors.rebuild(index, records, capacity_, gen_);
 }
 
 void UndoLog::grow(MirrorSet& mirrors, std::uint64_t needed_bytes,
@@ -154,7 +186,7 @@ void UndoLog::grow(MirrorSet& mirrors, std::uint64_t needed_bytes,
   gen_ = new_gen;
   capacity_ = new_capacity;
   tail_ = all.size();
-  ++stats_->undo_growths;
+  ++stats_->local().undo_growths;
   cluster_->failures().notify(points::kUndoAfterGrowth);
 }
 

@@ -11,11 +11,21 @@
 // exactly the entries of the transactions whose commit flag was never
 // cleared, newest-first by transaction id.
 //
+// A push is one step under the log's mutex: it reserves the entry's bytes
+// at the tail, writes the entry to every mirror, publishes the new tail
+// (the value a commit announces) and appends the image to its context's
+// pushed entries.  So an announced tail always ends on a whole entry, and
+// pushes from transactions on different threads interleave entry by
+// entry.
+//
 // Growth re-serializes the already-pushed entries of every open
 // transaction into a doubled segment (a new generation published through
 // the meta header), preserving per-transaction entry order; with one
 // transaction open this is byte-identical to the historical single-txn
-// grow path.
+// grow path.  The caller holds the orchestration lock (Perseas::mu_)
+// around it: that fixes the set of open contexts, and keeps growth out of
+// every commit's flag window — a generation switch there would strand the
+// announced tail in the old segment.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +71,7 @@ class UndoLog {
   /// References must outlive the log; `stats` receives the byte/op/growth
   /// counters.
   UndoLog(netram::Cluster& cluster, netram::RemoteMemoryClient& client,
-          const PerseasConfig& config, PerseasStats& stats);
+          const PerseasConfig& config, PerseasStatShards& stats);
 
   UndoLog(const UndoLog&) = delete;
   UndoLog& operator=(const UndoLog&) = delete;
@@ -109,15 +119,30 @@ class UndoLog {
 
   /// Grows the log if `needed` more bytes would overflow it, re-logging
   /// the already-pushed entries of every context in `open` (figure-3 order
-  /// per context) into the doubled segment.
+  /// per context) into the doubled segment.  The caller holds the
+  /// orchestration lock (see the header comment).
   void ensure_capacity(MirrorSet& mirrors, std::uint64_t needed,
                        std::span<const TxnContext* const> open);
 
-  /// Pushes one entry at the shared tail to every mirror (figure 3, step
-  /// 2), cross-checking through `validator` when installed, and advances
-  /// the tail.  The caller must have ensured capacity.
-  void push(MirrorSet& mirrors, const UndoImage& u, std::uint64_t txn_id,
-            netram::StreamHint hint, check::TxnValidator* validator);
+  /// Eager push (figure 3, step 2): writes `u` as one entry of `ctx`'s
+  /// transaction at the shared tail of every mirror, cross-checking
+  /// through `validator` when installed, publishes the new tail and moves
+  /// `u` onto ctx's pushed entries, all under the log's mutex.  Returns
+  /// false, having done nothing, when the entry does not fit: the caller
+  /// grows the log (ensure_capacity) and pushes again.
+  [[nodiscard]] bool append(MirrorSet& mirrors, TxnContext& ctx, UndoImage& u,
+                            netram::StreamHint hint, check::TxnValidator* validator);
+
+  /// Lazy push (commit): like append, but `u` stays where it is.  Returns
+  /// false, having done nothing, when the entry does not fit.
+  [[nodiscard]] bool push(MirrorSet& mirrors, const UndoImage& u, std::uint64_t txn_id,
+                          netram::StreamHint hint, check::TxnValidator* validator);
+
+  /// Rebuilds mirror `index` with an empty log of the current generation
+  /// and capacity (MirrorSet::rebuild), under the log's mutex so that no
+  /// push sees the mirror's segments change.
+  void rebuild_mirror_segments(MirrorSet& mirrors, std::uint32_t index,
+                               std::span<const LocalRecord> records);
 
   // --- recovery --------------------------------------------------------
 
@@ -183,21 +208,29 @@ class UndoLog {
                        std::span<const std::byte> log) const;
 
  private:
+  /// The body of append and push: writes the serialized `entry` of txn
+  /// `txn_id` at the tail; false when it does not fit.
+  [[nodiscard]] bool push_locked(MirrorSet& mirrors, std::span<const std::byte> entry,
+                                 std::uint64_t txn_id, netram::StreamHint hint,
+                                 check::TxnValidator* validator) PERSEAS_REQUIRES(mu_);
   void grow(MirrorSet& mirrors, std::uint64_t needed_bytes,
             std::span<const TxnContext* const> open) PERSEAS_REQUIRES(mu_);
 
   netram::Cluster* cluster_;
   netram::RemoteMemoryClient* client_;
   const PerseasConfig* config_;
-  PerseasStats* stats_;
+  PerseasStatShards* stats_;
 
-  /// Guards the shared log cursor: several open transactions' eager pushes
-  /// interleave at tail_, and growth republishes gen_/capacity_ together.
+  /// Guards the shared log cursor and each push as a whole: several open
+  /// transactions' eager pushes interleave at tail_ (and append to their
+  /// contexts' pushed entries), and growth republishes gen_/capacity_
+  /// together.
   mutable sync::Mutex mu_;
   std::uint64_t gen_ PERSEAS_GUARDED_BY(mu_) = 0;
   std::uint64_t capacity_ PERSEAS_GUARDED_BY(mu_) = 0;
   std::uint64_t tail_ PERSEAS_GUARDED_BY(mu_) = 0;
-  /// push()'s serialized entry, reused across pushes.
+  /// push()'s serialized entry, reused across pushes (append serializes
+  /// into its context's buffer, before it takes mu_).
   std::vector<std::byte> entry_ PERSEAS_GUARDED_BY(mu_);
 };
 

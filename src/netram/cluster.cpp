@@ -11,6 +11,21 @@
 
 namespace perseas::netram {
 
+NetworkStats& operator+=(NetworkStats& a, const NetworkStats& b) noexcept {
+  static_assert(sizeof(NetworkStats) == 9 * sizeof(std::uint64_t),
+                "a new NetworkStats field must join this merge");
+  a.remote_writes += b.remote_writes;
+  a.remote_write_bytes += b.remote_write_bytes;
+  a.full_packets += b.full_packets;
+  a.partial_packets += b.partial_packets;
+  a.remote_reads += b.remote_reads;
+  a.remote_read_bytes += b.remote_read_bytes;
+  a.control_rpcs += b.control_rpcs;
+  a.local_memcpys += b.local_memcpys;
+  a.local_memcpy_bytes += b.local_memcpy_bytes;
+  return a;
+}
+
 Cluster::Cluster(const sim::HardwareProfile& profile, const ClusterConfig& config)
     : profile_(profile),
       link_(profile.sci),
@@ -135,10 +150,11 @@ sim::SimDuration Cluster::remote_write(NodeId local, NodeId remote, std::uint64_
   auto dst = node(remote).mem(remote_offset, data.size());
   std::memcpy(dst.data(), data.data(), data.size());
 
-  ++stats_.remote_writes;
-  stats_.remote_write_bytes += data.size();
-  stats_.full_packets += b.full_packets;
-  stats_.partial_packets += b.partial_packets;
+  NetworkStats& stats = stats_.local();
+  ++stats.remote_writes;
+  stats.remote_write_bytes += data.size();
+  stats.full_packets += b.full_packets;
+  stats.partial_packets += b.partial_packets;
   flight_.record(core::EventKind::kSciBurst, 0, remote, data.size(), 1);
   if (sinks_.ledger != nullptr) sinks_.ledger->add_bytes(data.size());
   return b.total;
@@ -156,8 +172,9 @@ sim::SimDuration Cluster::remote_read(NodeId local, NodeId remote, std::uint64_t
   auto src = node(remote).mem(remote_offset, out.size());
   std::memcpy(out.data(), src.data(), out.size());
 
-  ++stats_.remote_reads;
-  stats_.remote_read_bytes += out.size();
+  NetworkStats& stats = stats_.local();
+  ++stats.remote_reads;
+  stats.remote_read_bytes += out.size();
   flight_.record(core::EventKind::kSciBurst, 0, remote, out.size(), 0);
   if (sinks_.ledger != nullptr) sinks_.ledger->add_bytes(out.size());
   return cost;
@@ -168,7 +185,7 @@ sim::SimDuration Cluster::control_rpc(NodeId local, NodeId remote) {
   require_alive(remote);
   const sim::SimDuration cost = profile_.sci.control_rtt;
   clock_.advance(cost);
-  ++stats_.control_rpcs;
+  ++stats_.local().control_rpcs;
   return cost;
 }
 
@@ -177,8 +194,9 @@ sim::SimDuration Cluster::charge_local_memcpy(NodeId node_id, std::uint64_t byte
   const sim::SimDuration cost =
       profile_.memory.memcpy_fixed + sim::transfer_time(bytes, profile_.memory.memcpy_bytes_per_sec);
   clock_.advance(cost);
-  ++stats_.local_memcpys;
-  stats_.local_memcpy_bytes += bytes;
+  NetworkStats& stats = stats_.local();
+  ++stats.local_memcpys;
+  stats.local_memcpy_bytes += bytes;
   return cost;
 }
 
@@ -200,19 +218,20 @@ void Cluster::set_trace(obs::TraceRecorder* trace, std::uint32_t track) noexcept
 void Cluster::export_metrics(obs::MetricsRegistry& reg) const {
   const auto count = [&](std::string_view name, std::string_view help, std::uint64_t v,
                          std::string_view labels = "") { reg.counter(name, help, labels).add(v); };
-  count("netram_remote_writes_total", "SCI store bursts", stats_.remote_writes);
-  count("netram_remote_reads_total", "SCI read bursts", stats_.remote_reads);
-  count("netram_control_rpcs_total", "Control-plane round trips", stats_.control_rpcs);
-  count("netram_local_memcpys_total", "Charged local memory copies", stats_.local_memcpys);
+  const NetworkStats s = stats();
+  count("netram_remote_writes_total", "SCI store bursts", s.remote_writes);
+  count("netram_remote_reads_total", "SCI read bursts", s.remote_reads);
+  count("netram_control_rpcs_total", "Control-plane round trips", s.control_rpcs);
+  count("netram_local_memcpys_total", "Charged local memory copies", s.local_memcpys);
   const char* bytes_help = "Bytes moved per netram channel";
-  count("netram_bytes_total", bytes_help, stats_.remote_write_bytes,
+  count("netram_bytes_total", bytes_help, s.remote_write_bytes,
         "channel=\"remote_write\"");
-  count("netram_bytes_total", bytes_help, stats_.remote_read_bytes, "channel=\"remote_read\"");
-  count("netram_bytes_total", bytes_help, stats_.local_memcpy_bytes,
+  count("netram_bytes_total", bytes_help, s.remote_read_bytes, "channel=\"remote_read\"");
+  count("netram_bytes_total", bytes_help, s.local_memcpy_bytes,
         "channel=\"local_memcpy\"");
   const char* pkt_help = "SCI packets per kind (figure 4's cost split)";
-  count("netram_sci_packets_total", pkt_help, stats_.full_packets, "kind=\"full\"");
-  count("netram_sci_packets_total", pkt_help, stats_.partial_packets, "kind=\"partial\"");
+  count("netram_sci_packets_total", pkt_help, s.full_packets, "kind=\"full\"");
+  count("netram_sci_packets_total", pkt_help, s.partial_packets, "kind=\"partial\"");
   reg.gauge("netram_sim_clock_ns", "Simulated clock at dump time")
       .set(static_cast<double>(clock_.now()));
   reg.gauge("netram_nodes", "Workstations in the cluster")

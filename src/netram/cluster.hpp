@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/thread_shards.hpp"
 #include "netram/node.hpp"
 #include "netram/sci_link.hpp"
 #include "obs/cost_ledger.hpp"
@@ -31,6 +32,7 @@ class MetricsRegistry;
 namespace perseas::netram {
 
 /// Aggregate traffic counters (per cluster; cheap to snapshot in benches).
+/// Each thread books into its own shard; Cluster::stats() sums them.
 struct NetworkStats {
   std::uint64_t remote_writes = 0;
   std::uint64_t remote_write_bytes = 0;
@@ -42,6 +44,9 @@ struct NetworkStats {
   std::uint64_t local_memcpys = 0;
   std::uint64_t local_memcpy_bytes = 0;
 };
+
+/// Field-wise sum (merges the per-thread shards).
+NetworkStats& operator+=(NetworkStats& a, const NetworkStats& b) noexcept;
 
 struct ClusterConfig {
   std::uint32_t node_count = 2;
@@ -74,8 +79,14 @@ class Cluster {
   [[nodiscard]] sim::Rng& rng() noexcept { return rng_; }
   [[nodiscard]] const sim::HardwareProfile& profile() const noexcept { return profile_; }
   [[nodiscard]] const SciLinkModel& link() const noexcept { return link_; }
-  [[nodiscard]] const NetworkStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = NetworkStats{}; }
+  /// The traffic counters, summed over the threads that booked them.  A
+  /// snapshot: read it once the work it should count is done (after the
+  /// worker threads joined).
+  [[nodiscard]] NetworkStats stats() const { return stats_.merged(); }
+  /// Zeroes the counters; call it while no other thread books traffic.
+  void reset_stats() {
+    stats_.for_each([](NetworkStats& s) { s = NetworkStats{}; });
+  }
 
   // --- observability --------------------------------------------------------
 
@@ -165,7 +176,8 @@ class Cluster {
   sim::Rng rng_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<sim::PowerSupply> supplies_;
-  NetworkStats stats_;
+  /// Per-thread traffic counters (stats() merges them).
+  sync::ThreadShards<NetworkStats> stats_;
   obs::FlightRecorder flight_;  ///< always-on; reads clock_ only
   obs::CostSinks sinks_;        ///< ledger and trace not owned; null = off
   /// Owned only when PERSEAS_TRACE names a path, and written there by the

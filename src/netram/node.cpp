@@ -1,20 +1,36 @@
 #include "netram/node.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <new>
 #include <stdexcept>
 
 namespace perseas::netram {
 
+namespace {
+
+/// A zero-filled, zero-on-demand mapping of `bytes` bytes (nullptr for 0).
+std::byte* map_arena(std::uint64_t bytes) {
+  if (bytes == 0) return nullptr;
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<std::byte*>(p);
+}
+
+}  // namespace
+
+void Node::UnmapArena::operator()(std::byte* p) const noexcept {
+  if (p != nullptr) ::munmap(p, bytes);
+}
+
 Node::Node(NodeId id, std::string name, std::uint64_t arena_bytes, std::uint32_t power_supply)
     : id_(id),
       name_(std::move(name)),
-      arena_(static_cast<std::byte*>(std::calloc(arena_bytes, 1))),
+      arena_(map_arena(arena_bytes), UnmapArena{arena_bytes}),
       arena_bytes_(arena_bytes),
       allocator_(arena_bytes),
-      power_supply_(power_supply) {
-  if (!arena_ && arena_bytes != 0) throw std::bad_alloc();
-}
+      power_supply_(power_supply) {}
 
 void Node::crash(sim::FailureKind kind) {
   crashed_ = true;

@@ -1,7 +1,6 @@
 #include "obs/cost_ledger.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <utility>
 
@@ -10,8 +9,6 @@
 namespace perseas::obs {
 
 namespace {
-
-std::atomic<std::uint64_t> g_ledgers{0};
 
 /// A shard compares names by address: they are string literals, so one
 /// scope's key always has the same addresses.  Two copies of one literal
@@ -134,50 +131,27 @@ std::vector<std::pair<std::string_view, sim::SimDuration>> phases_of(
 /// One thread's rows.  Only that thread writes them; reads come after it
 /// has joined.
 struct CostLedger::Shard {
-  explicit Shard(const void* token) noexcept : owner(token) {}
-
   /// The row of charges made outside any scope.
   CostEntry& root() {
     if (root_row == nullptr) root_row = &rows.row(CostKey{});
     return *root_row;
   }
 
-  const void* owner;  ///< the charging thread's token
   RowTable<SameLiterals> rows;
   CostEntry* root_row = nullptr;
 };
 
-thread_local CostLedger::LocalShard CostLedger::local_;
-
-CostLedger::CostLedger() : serial_(g_ledgers.fetch_add(1, std::memory_order_relaxed) + 1) {}
+CostLedger::CostLedger() = default;
 
 CostLedger::~CostLedger() = default;
-
-CostLedger::Shard& CostLedger::local_shard() {
-  if (local_.ledger != serial_) local_ = LocalShard{serial_, &attach_shard()};
-  return *local_.shard;
-}
-
-CostLedger::Shard& CostLedger::attach_shard() {
-  // A thread's token is the address of its cache, distinct among live
-  // threads, so a thread that charged another ledger in between finds its
-  // shard again.  A thread started after another exited may reuse the
-  // address and carry on that thread's shard, which nobody else writes.
-  const void* token = &local_;
-  sync::LockGuard lock(mu_);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (shard->owner == token) return *shard;
-  }
-  return *shards_.emplace_back(std::make_unique<Shard>(token));
-}
 
 CostEntry& CostLedger::current_row() {
   const ScopedCost* scope = ScopedCost::innermost_;
   while (scope != nullptr && scope->sinks_.ledger != this) scope = scope->parent_;
-  if (scope == nullptr) return local_shard().root();
-  if (scope->row_ledger_ != serial_) {
-    scope->row_ = &local_shard().rows.row(scope->key_);
-    scope->row_ledger_ = serial_;
+  if (scope == nullptr) return shards_.local().root();
+  if (scope->row_ledger_ != shards_.serial()) {
+    scope->row_ = &shards_.local().rows.row(scope->key_);
+    scope->row_ledger_ = shards_.serial();
   }
   return *scope->row_;
 }
@@ -188,39 +162,34 @@ void CostLedger::add_bytes(std::uint64_t n) noexcept { current_row().bytes += n;
 
 std::vector<CostEntry> CostLedger::merged() const {
   RowTable<std::equal_to<CostKey>> table;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    shard->rows.for_each([&table](const CostEntry& e) {
+  shards_.for_each([&table](const Shard& shard) {
+    shard.rows.for_each([&table](const CostEntry& e) {
       CostEntry& row = table.row(e.key);
       row.ns += e.ns;
       row.bytes += e.bytes;
     });
-  }
+  });
   std::vector<CostEntry> rows;
   rows.reserve(table.size());
   table.for_each([&rows](const CostEntry& e) { rows.push_back(e); });
   return rows;
 }
 
-std::vector<CostEntry> CostLedger::entries() const {
-  sync::LockGuard lock(mu_);
-  return merged();
-}
+std::vector<CostEntry> CostLedger::entries() const { return merged(); }
 
 sim::SimDuration CostLedger::total_ns() const noexcept {
-  sync::LockGuard lock(mu_);
   sim::SimDuration total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    shard->rows.for_each([&total](const CostEntry& e) { total += e.ns; });
-  }
+  shards_.for_each([&total](const Shard& shard) {
+    shard.rows.for_each([&total](const CostEntry& e) { total += e.ns; });
+  });
   return total;
 }
 
 std::uint64_t CostLedger::total_bytes() const noexcept {
-  sync::LockGuard lock(mu_);
   std::uint64_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    shard->rows.for_each([&total](const CostEntry& e) { total += e.bytes; });
-  }
+  shards_.for_each([&total](const Shard& shard) {
+    shard.rows.for_each([&total](const CostEntry& e) { total += e.bytes; });
+  });
   return total;
 }
 

@@ -39,18 +39,17 @@
 //
 // A charge takes no lock and hashes no string, and it allocates only when
 // its thread's rows outgrow their storage, which doubles.  Each charging
-// thread books into its own shard of rows, which the ledger owns.  The
-// thread finds its shard through a one-entry thread_local cache keyed by
-// the ledger's serial number (never by address, so a ledger built where
-// another died cannot inherit its shards); only a cache miss takes the
-// ledger's mutex.  The scope remembers its row at its first charge, so
+// thread books into its own shard of rows (sync::ThreadShards, the same
+// per-thread shards the counters and the blackbox use): a thread finds it
+// through a one-entry thread_local cache keyed by the ledger's serial
+// number, and only a cache miss takes a mutex.  The scope remembers its row at its first charge, so
 // every later charge in it is one add.  The first finds the row through
 // the shard's flat index on the txn id, then among that transaction's few
 // rows by the names' addresses.  Rows keep the scope's names after it
 // closes: phase, layer and channel must be string literals.
 //
-// Reads (entries, totals, by_phase, to_json) merge the shards under the
-// mutex, summing equal keys, so every key is one row.  They must run
+// Reads (entries, totals, by_phase, to_json) merge the shards, summing
+// equal keys, so every key is one row.  They must run
 // after the charging threads have joined (or on the only charging
 // thread); every caller reads a finished run.  The conservation law
 // survives threads because the clock's total is itself the sum of every
@@ -64,7 +63,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/sync.hpp"
+#include "core/thread_shards.hpp"
 #include "obs/json.hpp"
 #include "sim/clock.hpp"
 
@@ -131,26 +130,12 @@ class CostLedger final : public sim::SimClock::ChargeObserver {
   /// thread's innermost scope on this ledger, else the root row.  Created
   /// on first charge.
   [[nodiscard]] CostEntry& current_row();
-  /// The calling thread's shard, created on its first charge.
-  [[nodiscard]] Shard& local_shard();
-  [[nodiscard]] Shard& attach_shard() PERSEAS_EXCLUDES(mu_);
   /// Every shard's rows, equal keys summed (see entries()).
-  [[nodiscard]] std::vector<CostEntry> merged() const PERSEAS_REQUIRES(mu_);
+  [[nodiscard]] std::vector<CostEntry> merged() const;
 
-  /// The calling thread's shard of the ledger it charged last.
-  struct LocalShard {
-    std::uint64_t ledger = 0;  ///< that ledger's serial_ (0: none yet)
-    Shard* shard = nullptr;
-  };
-  static thread_local LocalShard local_;
-
-  /// Distinct for every ledger the process builds: the key of the
-  /// thread-local shard cache and of each scope's cached row.
-  const std::uint64_t serial_;
-  mutable sync::Mutex mu_;
-  /// In the order threads first charged.  The charge path never reads
-  /// this vector; each thread reaches its own shard through local_.
-  std::vector<std::unique_ptr<Shard>> shards_ PERSEAS_GUARDED_BY(mu_);
+  /// One per charging thread, in the order threads first charged.  Its
+  /// serial() is the key of each scope's cached row.
+  sync::ThreadShards<Shard> shards_;
 };
 
 class TraceRecorder;
@@ -212,7 +197,7 @@ class ScopedCost {
   /// bottom of the chain); meaningful only while sinks_.ledger != nullptr.
   const ScopedCost* parent_ = nullptr;
   /// The ledger row this scope books to, set at its first charge; valid
-  /// while row_ledger_ is the serial of sinks_.ledger.
+  /// while row_ledger_ is the serial of sinks_.ledger's shards.
   mutable CostEntry* row_ = nullptr;
   mutable std::uint64_t row_ledger_ = 0;
 

@@ -67,14 +67,37 @@ FlightRecorder::FlightRecorder(const sim::SimClock& clock, std::size_t capacity)
 
 void FlightRecorder::record(core::EventKind kind, std::uint64_t txn, std::uint64_t a,
                             std::uint64_t b, std::uint64_t c) noexcept {
+  if (!enabled_.load(std::memory_order_relaxed)) return;
+  Stage& stage = stages_.local();
+  const std::uint32_t n = stage.count.load(std::memory_order_relaxed);
+  stage.events[n] = FlightEvent{0, clock_->now(), kind, txn, a, b, c};
+  stage.count.store(n + 1, std::memory_order_release);
+  if (n + 1 < kStageEvents) return;
+  // The block is full: move what no reader took yet into the ring and
+  // start the block over.
   sync::LockGuard lock(mu_);
-  if (!enabled_) return;
-  record_locked(kind, txn, a, b, c);
+  for (std::uint32_t i = stage.taken.load(std::memory_order_relaxed); i < kStageEvents; ++i) {
+    push_locked(stage.events[i]);
+  }
+  stage.taken.store(0, std::memory_order_relaxed);
+  stage.count.store(0, std::memory_order_relaxed);
 }
 
-void FlightRecorder::record_locked(core::EventKind kind, std::uint64_t txn,
-                                   std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  FlightEvent e{recorded_, clock_->now(), kind, txn, a, b, c};
+void FlightRecorder::take_published(Stage& stage, std::vector<FlightEvent>& out) {
+  const std::uint32_t n = stage.count.load(std::memory_order_acquire);
+  const std::uint32_t first = stage.taken.load(std::memory_order_relaxed);
+  out.insert(out.end(), stage.events.begin() + first, stage.events.begin() + n);
+  stage.taken.store(n, std::memory_order_relaxed);
+}
+
+void FlightRecorder::drain_locked() const {
+  std::vector<FlightEvent> staged;
+  stages_.for_each([&staged](Stage& stage) { take_published(stage, staged); });
+  for (const FlightEvent& e : staged) push_locked(e);
+}
+
+void FlightRecorder::push_locked(FlightEvent e) const {
+  e.seq = recorded_;
   if (ring_.size() < capacity_) {
     ring_.push_back(e);
   } else {
@@ -98,31 +121,31 @@ std::string FlightRecorder::interned(std::uint64_t id) const {
 }
 
 void FlightRecorder::set_enabled(bool on) noexcept {
-  sync::LockGuard lock(mu_);
-  enabled_ = on;
+  enabled_.store(on, std::memory_order_relaxed);
 }
 
-bool FlightRecorder::enabled() const noexcept {
-  sync::LockGuard lock(mu_);
-  return enabled_;
-}
+bool FlightRecorder::enabled() const noexcept { return enabled_.load(std::memory_order_relaxed); }
 
 std::uint64_t FlightRecorder::recorded() const noexcept {
   sync::LockGuard lock(mu_);
+  drain_locked();
   return recorded_;
 }
 
 std::uint64_t FlightRecorder::dropped() const noexcept {
   sync::LockGuard lock(mu_);
+  drain_locked();
   return recorded_ - ring_.size();
 }
 
 std::size_t FlightRecorder::size() const noexcept {
   sync::LockGuard lock(mu_);
+  drain_locked();
   return ring_.size();
 }
 
 std::vector<FlightEvent> FlightRecorder::events_locked(std::size_t n) const {
+  drain_locked();
   const std::size_t held = ring_.size();
   const std::size_t want = (n == 0 || n > held) ? held : n;
   std::vector<FlightEvent> out;
@@ -151,6 +174,7 @@ std::vector<std::string> FlightRecorder::narrative(std::size_t n) const {
 }
 
 void FlightRecorder::dump_locked(const std::string& path) const {
+  drain_locked();
   std::string buf;
   buf.append("PSEASFR1", 8);
   put_u64(buf, recorded_);

@@ -8,6 +8,18 @@
 // one by value and every engine's events land in it, because the flights
 // that crash are never the ones with the instrumentation flag set.
 //
+// Recording takes no shared lock.  Each recording thread stages its events
+// in its own small block (sync::ThreadShards) and moves the block into the
+// ring under the recorder's mutex when it fills; every read (events,
+// narrative, dump, the counters) first moves every thread's staged events
+// in, so it sees everything recorded before it was called, from any
+// thread, without racing the recorders.  An event's seq is its position in
+// the ring's merged order, assigned as it moves in: one thread's events
+// keep their order and their numbers, so a single-threaded run is
+// byte-identical to one that wrote the ring directly, and threads
+// interleave in blocks.  The staging costs kStageEvents events per thread
+// that has recorded, reused by later threads (see thread_shards.hpp).
+//
 // Recording obeys the repo's observability contract: it charges zero
 // simulated time and generates zero simulated traffic (it only *reads*
 // the sim clock), so recorder-off and recorder-on runs are cost-identical
@@ -27,6 +39,8 @@
 // counterexample it reports.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -35,6 +49,7 @@
 
 #include "core/event_registry.hpp"
 #include "core/sync.hpp"
+#include "core/thread_shards.hpp"
 #include "sim/clock.hpp"
 
 namespace perseas::obs {
@@ -55,6 +70,8 @@ struct FlightEvent {
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
+  /// Events a thread stages before it moves them into the ring.
+  static constexpr std::uint32_t kStageEvents = 64;
 
   /// `clock` must outlive the recorder; it is only read, never advanced.
   explicit FlightRecorder(const sim::SimClock& clock,
@@ -63,8 +80,9 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Appends one event (overwriting the oldest when full).  No-op while
-  /// disabled.  Charges no simulated time.
+  /// Appends one event (overwriting the oldest when full) through the
+  /// calling thread's stage.  No-op while disabled.  Charges no simulated
+  /// time.
   void record(core::EventKind kind, std::uint64_t txn = 0, std::uint64_t a = 0,
               std::uint64_t b = 0, std::uint64_t c = 0) noexcept;
 
@@ -119,21 +137,39 @@ class FlightRecorder {
   void note_anomaly(std::string_view what) noexcept;
 
  private:
-  void record_locked(core::EventKind kind, std::uint64_t txn, std::uint64_t a,
-                     std::uint64_t b, std::uint64_t c) PERSEAS_REQUIRES(mu_);
+  /// One thread's staged events.  The owner writes events[count] and then
+  /// publishes it by storing count + 1 (release); a reader, under mu_,
+  /// moves [taken, count) into the ring and advances taken.  The owner
+  /// resets both under mu_ once its block is full.  taken is only touched
+  /// under mu_ (an atomic because a nested struct cannot name mu_).
+  struct Stage {
+    std::array<FlightEvent, kStageEvents> events;
+    std::atomic<std::uint32_t> count{0};
+    std::atomic<std::uint32_t> taken{0};
+  };
+
+  /// Appends the published, not yet taken events of `stage` to `out`.
+  static void take_published(Stage& stage, std::vector<FlightEvent>& out);
+  /// Moves every thread's published events into the ring.
+  void drain_locked() const PERSEAS_REQUIRES(mu_);
+  /// Numbers `e` and writes it into the ring.
+  void push_locked(FlightEvent e) const PERSEAS_REQUIRES(mu_);
   [[nodiscard]] std::vector<FlightEvent> events_locked(std::size_t n) const
       PERSEAS_REQUIRES(mu_);
   void dump_locked(const std::string& path) const PERSEAS_REQUIRES(mu_);
 
   const sim::SimClock* clock_;
   const std::size_t capacity_;
+  std::atomic<bool> enabled_{true};
+  mutable sync::ThreadShards<Stage> stages_;
   mutable sync::Mutex mu_;
-  std::vector<FlightEvent> ring_ PERSEAS_GUARDED_BY(mu_);
-  std::uint64_t recorded_ PERSEAS_GUARDED_BY(mu_) = 0;
+  // The ring is filled by reads as well as by recorders (drain_locked), so
+  // its state is mutable.
+  mutable std::vector<FlightEvent> ring_ PERSEAS_GUARDED_BY(mu_);
+  mutable std::uint64_t recorded_ PERSEAS_GUARDED_BY(mu_) = 0;
   /// The slot the next event goes to: always recorded_ % capacity_, kept
   /// as a wrapping index so recording does no 64-bit division.
-  std::size_t head_ PERSEAS_GUARDED_BY(mu_) = 0;
-  bool enabled_ PERSEAS_GUARDED_BY(mu_) = true;
+  mutable std::size_t head_ PERSEAS_GUARDED_BY(mu_) = 0;
   std::vector<std::string> strings_ PERSEAS_GUARDED_BY(mu_);
   std::string dump_path_ PERSEAS_GUARDED_BY(mu_);
 };

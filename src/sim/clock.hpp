@@ -88,13 +88,14 @@ class SimClock {
  private:
   friend class ThreadClock;
 
+  /// Read by every advance(); kept off the line the merges write.
+  ChargeObserver* observer_ = nullptr;
   /// The shared (merged) timeline and charge count.  Relaxed atomics: the
   /// values are pure accumulators — merge order never changes the total,
   /// which is what keeps the threaded cost model deterministic.
-  std::atomic<SimTime> now_{0};
+  alignas(64) std::atomic<SimTime> now_{0};
   std::atomic<std::uint64_t> advance_count_{0};
   std::atomic<std::uint32_t> fronts_{0};
-  ChargeObserver* observer_ = nullptr;
 };
 
 /// Per-thread virtual-time front over a shared SimClock (RAII).

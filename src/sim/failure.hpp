@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -20,6 +21,7 @@
 
 #include "core/failure_points.hpp"
 #include "core/sync.hpp"
+#include "core/thread_shards.hpp"
 
 namespace perseas::sim {
 
@@ -70,10 +72,12 @@ struct PowerSupply {
 /// NodeCrashed through the library operation.  Points are
 /// core::points::PointId, so an unregistered name does not compile.
 ///
-/// Thread-safe: arm lists and hit counts are guarded by mu_, so
-/// instrumented library code on several worker threads can notify()
-/// concurrently.  Armed actions run *outside* the lock (they may crash
-/// nodes, throw, or re-enter arm()/notify()).
+/// Thread-safe, and lock-free while nothing is armed: each notifying
+/// thread counts its hits in its own shard (sync::ThreadShards), and
+/// hits()/snapshot() sum the shards.  Only while an action is armed does
+/// notify() take mu_, so the countdown is judged against the point's
+/// total.  Armed actions run *outside* the lock (they may crash nodes,
+/// throw, or re-enter arm()/notify()).
 class FailureInjector {
  public:
   using PointId = core::points::PointId;
@@ -81,8 +85,9 @@ class FailureInjector {
   /// Hits per point, indexed by PointId::index().
   using HitCounts = std::array<std::uint64_t, core::points::kFailurePointCount>;
 
-  /// Sees every notify() with the point and its new hit count, *before*
-  /// any armed action fires (so a crash action still leaves the firing on
+  /// Sees every notify() with the point and the notifying thread's new hit
+  /// count on it (the point's total when one thread drives the injector),
+  /// *before* any armed action fires (so a crash action still leaves the firing on
   /// record).  The cluster wires its flight recorder here, which is how
   /// every engine's injector firings — rvm, vista, netram, perseas — land
   /// in the blackbox with zero per-engine instrumentation.  Must not call
@@ -105,36 +110,29 @@ class FailureInjector {
   void clear() noexcept {
     sync::LockGuard lock(mu_);
     armed_.clear();
+    armed_size_.store(0, std::memory_order_release);
   }
 
   /// Disarms everything *and* forgets all hit counts, as if freshly
   /// constructed.  Scenarios that reuse one injector across independent
   /// runs must call this, or arm(point, after_hits, ...) countdowns will
-  /// be offset by the previous run's hits.
-  void reset() noexcept {
-    sync::LockGuard lock(mu_);
-    armed_.clear();
-    counts_ = {};
-  }
+  /// be offset by the previous run's hits.  Call it while no other thread
+  /// notifies.
+  void reset() noexcept;
 
   /// Called by instrumented library code.  Runs (and removes) every armed
   /// action whose countdown expires at this hit.  Cheap when nothing is
   /// armed.
   void notify(PointId point);
 
-  /// Total hits observed for `point` (for tests asserting coverage).
-  [[nodiscard]] std::uint64_t hits(PointId point) const noexcept {
-    sync::LockGuard lock(mu_);
-    return counts_[point.index()];
-  }
+  /// Total hits observed for `point`, over every thread (for tests
+  /// asserting coverage).
+  [[nodiscard]] std::uint64_t hits(PointId point) const noexcept;
 
   /// Every point's hit count.  Model checkers diff two snapshots to get
   /// the exact set of stores executed by one window of work (a
   /// transaction, a recovery pass) without hard-coded point lists.
-  [[nodiscard]] HitCounts snapshot() const noexcept {
-    sync::LockGuard lock(mu_);
-    return counts_;
-  }
+  [[nodiscard]] HitCounts snapshot() const noexcept;
 
   /// Number of actions still armed (fired actions remove themselves); lets
   /// explorers detect an armed crash whose point was never reached.
@@ -150,10 +148,17 @@ class FailureInjector {
     Action action;
   };
 
+  /// One thread's hits per point.  Written only by its thread; atomics so
+  /// that hits() and a countdown may read them while it runs.
+  using ShardCounts = std::array<std::atomic<std::uint64_t>, core::points::kFailurePointCount>;
+
   const Observer observer_;
+  mutable sync::ThreadShards<ShardCounts> counts_;
+  /// armed_.size(), readable without mu_: notify() takes mu_ only when it
+  /// is non-zero.
+  std::atomic<std::size_t> armed_size_{0};
   mutable sync::Mutex mu_;
   std::vector<Armed> armed_ PERSEAS_GUARDED_BY(mu_);
-  HitCounts counts_ PERSEAS_GUARDED_BY(mu_) = {};
 };
 
 }  // namespace perseas::sim

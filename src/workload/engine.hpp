@@ -45,7 +45,10 @@ class TxnEngine {
   // exactly one slot that forwards to the classic entry points, so
   // single-transaction engines need no changes.  Engines whose slots can
   // collide (PERSEAS first-writer-wins) raise their conflict exception
-  // from set_range_slot; the workload aborts that slot and retries.
+  // from set_range_slot; the workload aborts that slot and retries.  One
+  // caller drives a slot at a time (pool worker w owns slot w); different
+  // slots may be driven from different threads at once, so an engine that
+  // offers several slots keeps no state shared between them unguarded.
 
   /// How many transactions this engine can keep open at once.
   [[nodiscard]] virtual std::uint32_t max_open_txns() const noexcept { return 1; }

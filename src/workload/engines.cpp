@@ -13,54 +13,52 @@ PerseasEngine::PerseasEngine(netram::Cluster& cluster, netram::NodeId local,
       config_(std::move(config)) {
   db_.emplace(cluster, local, mirrors_, config_);
   record_ = db_->persistent_malloc(db_size);
+  db_bytes_ = record_.bytes();
   db_->init_remote_db();
 }
 
 void PerseasEngine::begin_slot(std::uint32_t slot) {
   check_slot(slot);
-  sync::LockGuard lock(mu_);
-  if (slots_[slot]) throw core::UsageError("PerseasEngine: slot already has an open transaction");
-  slots_[slot].emplace(db_->begin_transaction());
+  if (slots_[slot].txn) {
+    throw core::UsageError("PerseasEngine: slot already has an open transaction");
+  }
+  slots_[slot].txn.emplace(db_->begin_transaction());
 }
 
 void PerseasEngine::set_range_slot(std::uint32_t slot, std::uint64_t offset,
                                    std::uint64_t size) {
   check_slot(slot);
-  sync::LockGuard lock(mu_);
-  if (!slots_[slot]) throw core::UsageError("PerseasEngine: set_range outside a transaction");
-  slots_[slot]->set_range(record_, offset, size);
+  if (!slots_[slot].txn) throw core::UsageError("PerseasEngine: set_range outside a transaction");
+  slots_[slot].txn->set_range(record_, offset, size);
 }
 
 void PerseasEngine::read_range_slot(std::uint32_t slot, std::uint64_t offset,
                                     std::uint64_t size) {
   check_slot(slot);
-  sync::LockGuard lock(mu_);
-  if (!slots_[slot]) throw core::UsageError("PerseasEngine: read_range outside a transaction");
-  slots_[slot]->read_range(record_, offset, size);
+  if (!slots_[slot].txn) throw core::UsageError("PerseasEngine: read_range outside a transaction");
+  slots_[slot].txn->read_range(record_, offset, size);
 }
 
 void PerseasEngine::commit_slot(std::uint32_t slot) {
   check_slot(slot);
-  sync::LockGuard lock(mu_);
-  if (!slots_[slot]) throw core::UsageError("PerseasEngine: commit outside a transaction");
-  slots_[slot]->commit();
-  slots_[slot].reset();
+  if (!slots_[slot].txn) throw core::UsageError("PerseasEngine: commit outside a transaction");
+  slots_[slot].txn->commit();
+  slots_[slot].txn.reset();
 }
 
 void PerseasEngine::abort_slot(std::uint32_t slot) {
   check_slot(slot);
-  sync::LockGuard lock(mu_);
-  if (!slots_[slot]) throw core::UsageError("PerseasEngine: abort outside a transaction");
-  slots_[slot]->abort();
-  slots_[slot].reset();
+  if (!slots_[slot].txn) throw core::UsageError("PerseasEngine: abort outside a transaction");
+  slots_[slot].txn->abort();
+  slots_[slot].txn.reset();
 }
 
 std::uint64_t PerseasEngine::recover() {
-  sync::LockGuard lock(mu_);
-  for (auto& slot : slots_) slot.reset();
+  for (Slot& slot : slots_) slot.txn.reset();
   restart_app_node_if_down();
   db_.emplace(core::Perseas::RecoverTag{}, *cluster_, local_, mirrors_, config_);
   record_ = db_->record(0);
+  db_bytes_ = record_.bytes();
   return db_->recovery_report().entries_applied;
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/perseas.hpp"
-#include "core/sync.hpp"
 #include "disk/disk_model.hpp"
 #include "disk/disk_store.hpp"
 #include "disk/nvram_store.hpp"
@@ -26,7 +25,10 @@
 namespace perseas::workload {
 
 /// PERSEAS with the whole flat database in one persistent record.
-/// recover() rebuilds the instance in place from the mirrors.
+/// recover() rebuilds the instance in place from the mirrors.  The engine
+/// takes no lock of its own: one caller drives a slot at a time (the
+/// TxnEngine contract; pool worker w owns slot w), and db() is a span
+/// cached at construction and at recover().
 class PerseasEngine final : public TxnEngine {
  public:
   PerseasEngine(netram::Cluster& cluster, netram::NodeId local,
@@ -36,7 +38,7 @@ class PerseasEngine final : public TxnEngine {
   [[nodiscard]] std::string_view name() const noexcept override { return "perseas"; }
   [[nodiscard]] netram::Cluster& cluster() noexcept override { return *cluster_; }
   [[nodiscard]] netram::NodeId app_node() const noexcept override { return local_; }
-  [[nodiscard]] std::span<std::byte> db() override { return record_.bytes(); }
+  [[nodiscard]] std::span<std::byte> db() override { return db_bytes_; }
   [[nodiscard]] std::uint64_t db_size() const noexcept override { return record_.size(); }
 
   void begin() override { begin_slot(0); }
@@ -78,12 +80,15 @@ class PerseasEngine final : public TxnEngine {
   core::PerseasConfig config_;
   std::optional<core::Perseas> db_;
   core::RecordHandle record_;
-  /// Guards the slot table itself (which slots hold an open Transaction);
-  /// held across the forwarded operation, so a slot cannot be re-targeted
-  /// while its transaction is mid-commit.  Lock order: mu_ before the
-  /// Perseas orchestration lock (db_ never calls back into the engine).
-  sync::Mutex mu_;
-  std::array<std::optional<core::Transaction>, kTxnSlots> slots_ PERSEAS_GUARDED_BY(mu_);
+  /// record_'s bytes (the record, and so the span, changes only in
+  /// recover()).
+  std::span<std::byte> db_bytes_;
+  /// One slot's open Transaction, on a cache line of its own: slot s is
+  /// written only by its one caller, at every begin and commit.
+  struct alignas(64) Slot {
+    std::optional<core::Transaction> txn;
+  };
+  std::array<Slot, kTxnSlots> slots_;
 };
 
 /// RVM over any stable store (disk -> "rvm-disk", Rio -> "rvm-rio").

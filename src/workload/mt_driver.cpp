@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/conflict_table.hpp"
+#include "core/thread_shards.hpp"
 #include "sim/clock.hpp"
 #include "sim/random.hpp"
 #include "workload/zipf.hpp"
@@ -54,10 +55,13 @@ PoolResult run_workers(const char* who, TxnEngine& engine, const PoolOptions& o,
   std::vector<std::exception_ptr> errors(o.threads);
 
   const auto worker_loop = [&](std::uint32_t w) {
-    WorkerResult& res = out.workers[w];
+    // Tallied on the worker's own stack and stored once at the end: the
+    // rows of out.workers share cache lines.
+    WorkerResult res;
     sim::Rng rng(sim::SplitMix64(o.seed + w).next());
     res.worker = w;
     res.latencies.reserve(o.txns_per_thread);
+    (void)sync::this_thread_shard_id();  // held until the thread exits
 
     ready.fetch_add(1, std::memory_order_release);
     while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
@@ -95,6 +99,7 @@ PoolResult run_workers(const char* who, TxnEngine& engine, const PoolOptions& o,
       }
     }
     res.busy_ns = tc.local_time();
+    out.workers[w] = std::move(res);
   };
 
   // A worker's exception, or a thread that failed to start, is kept for
@@ -154,9 +159,13 @@ PoolResult run_workers(const char* who, TxnEngine& engine, const PoolOptions& o,
 }  // namespace
 
 PoolResult run_mt_debit_credit(TxnEngine& engine, DebitCredit& bank, const MtOptions& options) {
-  // Committed deltas per worker, each written only by its own worker and
-  // folded into the bank's bookkeeping after the join.
-  std::vector<std::int64_t> deltas(options.threads, 0);
+  // Committed deltas per worker, each written only by its own worker (on a
+  // cache line of its own) and folded into the bank's bookkeeping after
+  // the join.
+  struct alignas(64) Delta {
+    std::int64_t sum = 0;
+  };
+  std::vector<Delta> deltas(options.threads);
   PoolResult out = run_workers(
       "run_mt_debit_credit", engine, options, /*first_backoff=*/0,
       [&](std::uint32_t w, std::uint64_t i, std::uint64_t attempt, sim::Rng& rng) {
@@ -172,9 +181,9 @@ PoolResult run_mt_debit_credit(TxnEngine& engine, DebitCredit& bank, const MtOpt
         bank.apply_plan(w, plan);
         engine.cluster().charge_cpu(engine.app_node(), options.app_compute);
         engine.commit_slot(w);
-        deltas[w] += plan.delta;
+        deltas[w].sum += plan.delta;
       });
-  for (const std::int64_t d : deltas) bank.add_committed_delta(d);
+  for (const Delta& d : deltas) bank.add_committed_delta(d.sum);
   return out;
 }
 

@@ -19,9 +19,14 @@
 // — while per-worker busy time measures the parallel timeline: the
 // workload's simulated makespan is max over workers of busy_ns, and the
 // disjoint-workload speedup of N threads is total_work / makespan ≈ N.
-// Per-worker latencies depend only on that worker's own charges, so the
-// disjoint workload's latency distribution is deterministic per worker
-// even though OS scheduling varies run to run.
+// Per-worker latencies are NOT deterministic at threads > 1, not even on
+// disjoint partitions: a worker's undo pushes land wherever the shared
+// undo-log tail stands when it takes the log's lock, thread interleaving
+// decides that, and an SCI push's cost depends on where its bytes fall
+// against the 64-byte buffers.  Only one worker's run is reproducible
+// (WorkerPool.OneWorkerLatenciesAreTheSameOnEveryFreshLab); what holds
+// exactly at every thread count is the conservation of simulated time and
+// every counter.
 //
 // The pool follows the classic ready/start/quit benchmark shape: every
 // thread parks on an atomic start gate after setup so measurement begins

@@ -12,10 +12,21 @@
 //     (charges flow through per-thread sim::ThreadClock fronts and merge
 //     at commit/conflict — see sim/clock.hpp);
 //   - commits reach threads × txns_per_thread (conflict losers retry).
+//   - every per-thread counter merges to the exact total: PerseasStats,
+//     NetworkStats, the failure injector's hits and the blackbox's events
+//     per kind, while one worker dumps the blackbox mid-run.
 // Exact latency values are NOT asserted at threads > 1: shared undo-log
 // allocation order depends on thread interleaving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <string>
+
+#include "core/event_registry.hpp"
+#include "core/failure_points.hpp"
 #include "core/perseas.hpp"
 #include "obs/cost_ledger.hpp"
 #include "sim/clock.hpp"
@@ -86,6 +97,118 @@ TEST(PerseasMtTest, DisjointWorkloadCommitsEverythingAndConservesCost) {
   EXPECT_LT(r.makespan_ns, r.total_work_ns);
   EXPECT_GE(r.makespan_ns * 4, r.total_work_ns);
 
+  EXPECT_NO_THROW(t.bank.check_invariants());
+}
+
+/// Forwards to an engine; after every 5th commit of slot 0 it dumps the
+/// cluster's blackbox, so one worker reads the recorder while the others
+/// record into it.
+class DumpingEngine final : public workload::TxnEngine {
+ public:
+  DumpingEngine(workload::TxnEngine& inner, std::string path)
+      : inner_(&inner), path_(std::move(path)) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override { return inner_->name(); }
+  [[nodiscard]] netram::Cluster& cluster() noexcept override { return inner_->cluster(); }
+  [[nodiscard]] netram::NodeId app_node() const noexcept override {
+    return inner_->app_node();
+  }
+  [[nodiscard]] std::span<std::byte> db() override { return inner_->db(); }
+  [[nodiscard]] std::uint64_t db_size() const noexcept override { return inner_->db_size(); }
+  [[nodiscard]] std::uint32_t max_open_txns() const noexcept override {
+    return inner_->max_open_txns();
+  }
+  void begin() override { inner_->begin(); }
+  void set_range(std::uint64_t offset, std::uint64_t size) override {
+    inner_->set_range(offset, size);
+  }
+  void commit() override { inner_->commit(); }
+  void abort() override { inner_->abort(); }
+  void begin_slot(std::uint32_t slot) override { inner_->begin_slot(slot); }
+  void set_range_slot(std::uint32_t slot, std::uint64_t offset, std::uint64_t size) override {
+    inner_->set_range_slot(slot, offset, size);
+  }
+  void commit_slot(std::uint32_t slot) override {
+    inner_->commit_slot(slot);
+    if (slot == 0 && ++commits_ % 5 == 0) {
+      inner_->cluster().flight().dump(path_);
+      ++dumps_;
+    }
+  }
+  void abort_slot(std::uint32_t slot) override { inner_->abort_slot(slot); }
+
+  /// Read after the run (slot 0's worker is the only writer).
+  [[nodiscard]] std::uint64_t dumps() const noexcept { return dumps_; }
+
+ private:
+  workload::TxnEngine* inner_;
+  std::string path_;
+  std::uint64_t commits_ = 0;
+  std::uint64_t dumps_ = 0;
+};
+
+TEST(PerseasMtTest, ParallelWorkersBookEveryCounterExactly) {
+  const auto o = bank_options();
+  MtLab t(o);
+  auto& engine = static_cast<workload::PerseasEngine&>(t.lab.engine());
+  netram::Cluster& cluster = t.lab.cluster();
+  const core::Perseas& db = engine.perseas();
+
+  // One transaction on one worker gives the per-transaction counts.
+  workload::MtOptions mo;
+  mo.threads = 1;
+  mo.txns_per_thread = 1;
+  mo.app_compute = o.app_compute;
+  const sim::FailureInjector::HitCounts hits0 = cluster.failures().snapshot();
+  const std::uint64_t writes0 = cluster.stats().remote_writes;
+  ASSERT_EQ(workload::run_mt_debit_credit(engine, t.bank, mo).commits, 1u);
+  const sim::FailureInjector::HitCounts hits1 = cluster.failures().snapshot();
+  const std::uint64_t writes_per_txn = cluster.stats().remote_writes - writes0;
+  ASSERT_GT(writes_per_txn, 0u);
+
+  const core::PerseasStats stats0 = db.stats();
+  const std::uint64_t recorded0 = cluster.flight().recorded();
+  obs::CostLedger ledger;
+  cluster.set_ledger(&ledger);
+  const sim::SimTime attach = cluster.clock().now();
+
+  DumpingEngine dumping(engine, ::testing::TempDir() + "perseas_mt_blackbox.bin");
+  mo.threads = 4;
+  mo.txns_per_thread = 20;  // the whole batch fits the blackbox's ring
+  const auto r = workload::run_mt_debit_credit(dumping, t.bank, mo);
+
+  const sim::SimDuration clock_delta = cluster.clock().now() - attach;
+  cluster.set_ledger(nullptr);
+  const std::uint64_t commits = r.commits;
+  ASSERT_EQ(commits, 4u * 20u);
+  EXPECT_EQ(r.conflicts, 0u);
+  EXPECT_EQ(static_cast<sim::SimDuration>(ledger.total_ns()), clock_delta);
+
+  const core::PerseasStats stats1 = db.stats();
+  EXPECT_EQ(stats1.txns_committed - stats0.txns_committed, commits);
+  EXPECT_EQ(stats1.set_ranges - stats0.set_ranges, 4 * commits);
+
+  const sim::FailureInjector::HitCounts hits2 = cluster.failures().snapshot();
+  for (const core::points::PointId point : core::points::PointId::all()) {
+    const std::size_t i = point.index();
+    EXPECT_EQ(hits2[i] - hits1[i], (hits1[i] - hits0[i]) * commits) << point.name();
+  }
+  EXPECT_EQ(cluster.stats().remote_writes - writes0, writes_per_txn * (commits + 1));
+
+  const std::uint64_t batch_events = cluster.flight().recorded() - recorded0;
+  ASSERT_LE(batch_events, cluster.flight().capacity()) << "the ring lost part of the batch";
+  const std::vector<obs::FlightEvent> events = cluster.flight().events(batch_events);
+  const auto count = [&events](core::EventKind kind) {
+    return static_cast<std::uint64_t>(std::count_if(
+        events.begin(), events.end(), [kind](const obs::FlightEvent& e) { return e.kind == kind; }));
+  };
+  EXPECT_EQ(count(core::EventKind::kTxnCommitted), commits);
+  EXPECT_EQ(count(core::EventKind::kSetRange), 4 * commits);
+
+  EXPECT_EQ(dumping.dumps(), 4u);
+  std::ifstream dump(::testing::TempDir() + "perseas_mt_blackbox.bin", std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(dump)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes.substr(0, 8), "PSEASFR1");
   EXPECT_NO_THROW(t.bank.check_invariants());
 }
 

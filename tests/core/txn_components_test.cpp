@@ -259,7 +259,7 @@ class UndoLogScanTest : public ::testing::Test {
   netram::Cluster cluster_;
   netram::RemoteMemoryClient client_;
   PerseasConfig config_;
-  PerseasStats stats_;
+  PerseasStatShards stats_;
   UndoLog log_;
   std::vector<std::byte> bytes_;
   std::vector<std::uint64_t> sizes_{4096};  // record 0's size

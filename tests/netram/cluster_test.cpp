@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
+#include <vector>
 
 namespace perseas::netram {
 namespace {
@@ -159,6 +161,35 @@ TEST_F(ClusterTest, StatsResetWorks) {
   EXPECT_EQ(c.stats().control_rpcs, 1u);
   c.reset_stats();
   EXPECT_EQ(c.stats().control_rpcs, 0u);
+}
+
+// Traffic counters are booked per thread and summed on read: four threads
+// writing at once lose no write, and reset_stats() clears every thread's
+// share.
+TEST_F(ClusterTest, ThreadsBookTrafficIntoMergedStats) {
+  Cluster c(profile_, 2);
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kWrites = 1'000;
+  const auto data = bytes_of("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&c, &data, t] {
+      for (std::uint64_t i = 0; i < kWrites; ++i) {
+        c.remote_write(0, 1, static_cast<std::uint64_t>(t) * 4096, data);
+        c.charge_local_memcpy(0, 8);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const NetworkStats s = c.stats();
+  EXPECT_EQ(s.remote_writes, kThreads * kWrites);
+  EXPECT_EQ(s.remote_write_bytes, kThreads * kWrites * data.size());
+  EXPECT_EQ(s.full_packets, kThreads * kWrites);
+  EXPECT_EQ(s.local_memcpys, kThreads * kWrites);
+  EXPECT_EQ(s.local_memcpy_bytes, kThreads * kWrites * 8);
+  c.reset_stats();
+  EXPECT_EQ(c.stats().remote_writes, 0u);
+  EXPECT_EQ(c.stats().local_memcpys, 0u);
 }
 
 }  // namespace

@@ -301,9 +301,8 @@ TEST(CostLedgerThreads, WorkerBatchMergesToOneRowPerKey) {
   workload::EngineLab lab(workload::EngineKind::kPerseas, lo);
   workload::DebitCredit bank(lab.engine(), o);
   bank.load();
-  const core::PerseasStats& stats =
-      static_cast<workload::PerseasEngine&>(lab.engine()).perseas().stats();
-  const core::PerseasStats before = stats;
+  const core::Perseas& db = static_cast<workload::PerseasEngine&>(lab.engine()).perseas();
+  const core::PerseasStats before = db.stats();
 
   CostLedger ledger;
   lab.cluster().set_ledger(&ledger);
@@ -316,6 +315,7 @@ TEST(CostLedgerThreads, WorkerBatchMergesToOneRowPerKey) {
   const sim::SimDuration delta = lab.cluster().clock().now() - attach;
   lab.cluster().set_ledger(nullptr);
   ASSERT_EQ(r.commits, 400u);
+  const core::PerseasStats stats = db.stats();
 
   const std::vector<CostEntry> rows = ledger.entries();
   std::set<std::tuple<std::uint64_t, std::string_view, std::string_view, std::string_view>> keys;

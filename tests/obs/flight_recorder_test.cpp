@@ -6,8 +6,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <atomic>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/event_registry.hpp"
@@ -136,6 +138,48 @@ TEST(FlightRecorder, NoteAnomalyRecordsAndAutoDumps) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << "note_anomaly must auto-dump to the configured path";
   std::remove(path.c_str());
+}
+
+// Four threads stage events while a fifth reads and dumps the recorder:
+// no event is lost, each thread's events keep their order in the merged
+// ring, and seq numbers the merged order.
+TEST(FlightRecorder, ThreadsStageWhileAReaderDrains) {
+  sim::SimClock clock;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 1'000;
+  FlightRecorder rec(clock, kThreads * kPerThread);
+  const std::string path = ::testing::TempDir() + "flight_threads.bin";
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      (void)rec.events(16);
+      rec.dump(path);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&rec, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        rec.record(EventKind::kSetRange, static_cast<std::uint64_t>(t) + 1, i);
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  done.store(true);
+  reader.join();
+  std::remove(path.c_str());
+
+  EXPECT_EQ(rec.recorded(), kThreads * kPerThread);
+  EXPECT_EQ(rec.dropped(), 0u);
+  const std::vector<FlightEvent> events = rec.events();
+  ASSERT_EQ(events.size(), kThreads * kPerThread);
+  std::vector<std::uint64_t> next(kThreads + 1, 0);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, i);
+    ASSERT_GE(events[i].txn, 1u);
+    ASSERT_LE(events[i].txn, static_cast<std::uint64_t>(kThreads));
+    EXPECT_EQ(events[i].a, next[events[i].txn]++) << "thread " << events[i].txn << " out of order";
+  }
 }
 
 }  // namespace

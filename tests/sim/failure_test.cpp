@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -178,6 +180,39 @@ TEST(PointId, FindResolvesRegisteredNamesOnly) {
   for (std::size_t i = 0; i < PointId::all().size(); ++i) {
     EXPECT_EQ(PointId::all()[i].index(), i);
   }
+}
+
+// Hits are counted per thread and summed on read; an armed countdown is
+// judged against the point's total, so it fires exactly once however the
+// notifying threads interleave.
+TEST(FailureInjector, ThreadsCountHitsExactlyAndArmedActionFiresOnce) {
+  std::atomic<std::uint64_t> observed{0};
+  FailureInjector f([&observed](PointId, std::uint64_t) { observed.fetch_add(1); });
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 10'000;
+  const auto run = [&f] {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&f] {
+        for (std::uint64_t i = 0; i < kPerThread; ++i) f.notify(kX);
+      });
+    }
+    for (auto& th : threads) th.join();
+  };
+  run();
+  EXPECT_EQ(f.hits(kX), kThreads * kPerThread);
+  EXPECT_EQ(f.snapshot()[kX.index()], kThreads * kPerThread);
+  EXPECT_EQ(f.hits(kY), 0u);
+
+  std::atomic<int> fired{0};
+  f.arm(kX, 1'000, [&fired] { fired.fetch_add(1); });
+  run();
+  EXPECT_EQ(fired.load(), 1);
+  EXPECT_EQ(f.armed_count(), 0u);
+  EXPECT_EQ(f.hits(kX), 2 * kThreads * kPerThread);
+  EXPECT_EQ(observed.load(), 2 * kThreads * kPerThread);
+  f.reset();
+  EXPECT_EQ(f.hits(kX), 0u);
 }
 
 }  // namespace

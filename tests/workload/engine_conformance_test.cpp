@@ -107,6 +107,14 @@ TEST_P(EngineRecovery, RecoverDropsTheOpenTransactionAndKeepsWorking) {
   (void)engine().recover();
   EXPECT_FALSE(lab_->cluster().node(engine().app_node()).crashed());
   EXPECT_EQ(std::memcmp(engine().db().data(), "good", 4), 0);
+  // The model checker's hygiene invariant: a second recovery right after
+  // the first applies nothing.  remote-wal is left out: it replays its
+  // whole redo log on every recovery (CHANGES.md, PR 20's FOUND line), and
+  // a fix needs a real checkpoint image, because its database survives
+  // the crash in host memory.
+  if (GetParam() != EngineKind::kRemoteWal) {
+    EXPECT_EQ(engine().recover(), 0u) << "a second recovery applied log records";
+  }
 
   engine().begin();
   engine().set_range(4, 4);
