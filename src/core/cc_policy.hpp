@@ -11,8 +11,10 @@
 // timestamp (wait-die), or shift the judgement of *reads* to commit time
 // (validate-at-commit OCC).
 //
-// Perseas consults the policy at four protocol moments, all under its
-// orchestration lock, and performs every observable action (stats, flight
+// Perseas consults the policy at four protocol moments (on_declare from
+// set_range, which holds no lock of the instance, so the policy guards its
+// own state; the others under the orchestration lock), and performs every
+// observable action (stats, flight
 // events, simulated charges, failure-point notifies, the TxnConflict
 // throw) itself — the policy is pure decision logic, which keeps the
 // static verifier's call graph (tools/perseas-verify.py) anchored in
@@ -118,9 +120,8 @@ class FirstWriterWins final : public CcPolicy {
 /// Timestamp-ordered wait-die over the begin order (smaller id = older).
 /// An older requester hitting a younger holder "waits": it owes a bounded
 /// slice of simulated time (the CcRejection's wait) and then retries —
-/// real blocking could never succeed under the orchestration lock, so the
-/// wait is modelled in virtual time and the caller's retry loop is the
-/// requeue.  A younger requester hitting an older holder dies immediately
+/// the wait is modelled in virtual time, so a host thread never blocks on
+/// a simulated holder, and the caller's retry loop is the requeue.  A younger requester hitting an older holder dies immediately
 /// (AbortReason::kWounded).  Deadlock-free: waiting is ordered by age.
 /// Deviation from the textbook: a restarted transaction gets a *younger*
 /// timestamp (ids are assigned at begin), so starvation of a repeatedly
